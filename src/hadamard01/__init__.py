@@ -19,7 +19,7 @@ from .core import (
     dot,
     validate_order,
 )
-from .generator import GenConfig, generate, initial_rows, iter_matrices
+from .generator import GenConfig, initial_rows, iter_matrices
 from .gram import gram_cols, gram_rows, is_hadamard_zo
 from .partition import (
     GroupList,
@@ -53,7 +53,6 @@ __all__ = [
     "dot",
     "encode_matrix",
     "encode_row",
-    "generate",
     "gram_cols",
     "gram_rows",
     "initial_rows",

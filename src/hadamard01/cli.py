@@ -14,11 +14,24 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from . import formats
-from .core import BitMatrix, HadamardError, SignMatrix, validate_order
-from .generator import GenConfig, generate_parallel, iter_matrices
+from .core import BitMatrix, HadamardError, validate_order
+from .generator import GenConfig, iter_matrices
 from .gram import is_hadamard_zo
-from .partition import PartitionMatrix, decode_matrix, encode_matrix
-from .presentation import normalize, pm_from_zo, verify_sign_hadamard, zo_from_pm
+from .partition import decode_matrix, encode_matrix
+from .presentation import (
+    is_normalized,
+    normalize,
+    pm_from_zo,
+    verify_sign_hadamard,
+    zo_from_pm,
+)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="search for matrices of order m")
     p_gen.add_argument("-m", type=int, required=True, help="matrix order (3 mod 4)")
     p_gen.add_argument("-o", dest="output", help="output path (default stdout)")
-    p_gen.add_argument("--limit", type=int, help="stop after N matrices")
+    p_gen.add_argument("--limit", type=_positive_int, help="stop after N matrices")
     p_gen.add_argument("--format", **fmt_kwargs)
     p_gen.add_argument(
         "--verify",
@@ -42,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-verify each emitted matrix (default: on for m <= 15)",
     )
     p_gen.add_argument("--progress", action="store_true", help="log row-entry events")
-    p_gen.add_argument(
-        "--parallel", type=int, metavar="THREADS",
-        help="split the search at row 3 across worker threads",
-    )
 
     p_ver = sub.add_parser("verify", help="check every record of a file")
     p_ver.add_argument("input", help="input path")
@@ -65,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="measure the matrix production rate")
     p_bench.add_argument("-m", type=int, required=True)
-    p_bench.add_argument("--limit", type=int, help="stop after N matrices")
+    p_bench.add_argument("--limit", type=_positive_int, help="stop after N matrices")
     p_bench.add_argument("--duration", type=float,
                          help="stop after this many seconds")
     return parser
@@ -130,39 +139,17 @@ def _cmd_generate(args) -> int:
     )
     start = time.monotonic()
     with _progress_to_stderr(args.progress), _open_out(args.output) as out:
-        writer = _record_writer(out, args.format)
-        if args.parallel and args.parallel > 1:
-            count = generate_parallel(config, writer, args.parallel)
+        matrices = iter_matrices(config)
+        if args.format == "grouplist":
+            count = formats.write_grouplist(out, matrices)
+        elif args.format == "dense01":
+            count = formats.write_dense01(out, map(decode_matrix, matrices))
         else:
-            count = 0
-            for pm in iter_matrices(config):
-                writer(pm)
-                count += 1
+            bits = map(decode_matrix, matrices)
+            count = formats.write_densepm(out, map(pm_from_zo, bits))
     elapsed = time.monotonic() - start
     print(f"generated {count} matrices in {elapsed:.2f} s", file=sys.stderr)
     return 0
-
-
-def _record_writer(out, fmt: str):
-    counter = [0]
-
-    def write(pm: PartitionMatrix) -> None:
-        counter[0] += 1
-        if fmt == "grouplist":
-            out.write(formats.grouplist_record(pm, counter[0]) + "\n")
-            return
-        if counter[0] > 1:
-            out.write("\n")
-        t = decode_matrix(pm)
-        if fmt == "dense01":
-            for row in t.rows:
-                out.write("".join(str(e) for e in row) + "\n")
-        else:
-            h = pm_from_zo(t)
-            for row in h.rows:
-                out.write("".join("+" if e == 1 else "-" for e in row) + "\n")
-
-    return write
 
 
 def _cmd_verify(args) -> int:
@@ -190,13 +177,9 @@ def _verify_records(text: str, fmt: str) -> Iterator[tuple[str, bool]]:
             ok = verify_sign_hadamard(h)
             # cross-check through the {0,1} form where the characterization
             # applies (side >= 4 and all-ones border)
-            if ok and h.n >= 4 and _is_normalized(h):
+            if ok and h.n >= 4 and is_normalized(h):
                 ok = is_hadamard_zo(zo_from_pm(h))
             yield f"matrix {idx}", ok
-
-
-def _is_normalized(h: SignMatrix) -> bool:
-    return all(e == 1 for e in h.rows[0]) and all(row[0] == 1 for row in h.rows)
 
 
 def _cmd_convert(args) -> int:

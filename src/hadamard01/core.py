@@ -85,9 +85,6 @@ class BitMatrix:
     def m(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(tuple(zip(*self.rows))) if self.rows else self
 
@@ -121,20 +118,18 @@ class SignMatrix:
 class SearchParams:
     """Derived search constants for an admissible order m.
 
-    q = (m+1)/4 is the quarter, a = q the pairwise row overlap, b = 2q the
-    row weight, and n = m+1 the side of the corresponding +-1 matrix.
+    q = (m+1)/4 is the quarter, which is also the pairwise row overlap, and
+    b = 2q is the row weight.
     """
 
     m: int
     q: int
-    a: int
     b: int
-    n: int
 
     def __post_init__(self):
         assert self.m % 4 == 3 and self.m >= 3
         assert self.q == (self.m + 1) // 4
-        assert self.a == self.q and self.b == 2 * self.q and self.n == self.m + 1
+        assert self.b == 2 * self.q
 
 
 def validate_order(m: int) -> SearchParams:
@@ -145,7 +140,7 @@ def validate_order(m: int) -> SearchParams:
     if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 4 != 3:
         raise InvalidOrder(f"m={m} is incorrect size for Hadamard matrices")
     q = (m + 1) // 4
-    return SearchParams(m=m, q=q, a=q, b=2 * q, n=m + 1)
+    return SearchParams(m=m, q=q, b=2 * q)
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

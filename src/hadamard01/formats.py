@@ -131,9 +131,14 @@ def _parse_row(toks: _Tokens, depth: int) -> GroupList:
     toks.take("[")
     while True:
         toks.take("[")
-        label = int(toks.take())
-        toks.take(",")
-        count = int(toks.take())
+        try:
+            label = int(toks.take())
+            toks.take(",")
+            count = int(toks.take())
+        except ValueError:
+            # int() rejected the token take() just returned
+            tok, line = toks.toks[toks.i - 1]
+            raise FormatError(f"expected an integer, found {tok!r}", line=line) from None
         toks.take("]")
         groups.append((label, count))
         if toks.peek() == ",":

@@ -10,11 +10,9 @@ rows, so the emitted set is complete for that normal form.
 from __future__ import annotations
 
 import logging
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import gram
 from .core import InternalInvariantViolation, SearchParams
@@ -131,75 +129,3 @@ def iter_matrices(
         if config.limit is not None and emitted >= config.limit:
             return
 
-
-def generate(config: GenConfig, sink: Callable[[PartitionMatrix], None]) -> int:
-    """Run the search, feeding every matrix to ``sink``; returns the count."""
-    count = 0
-    for pm in iter_matrices(config):
-        sink(pm)
-        count += 1
-    return count
-
-
-def generate_parallel(
-    config: GenConfig,
-    sink: Callable[[PartitionMatrix], None],
-    threads: int,
-) -> int:
-    """Partition the search at depth 3, one task per row-3 solution.
-
-    Emits the same multiset of matrices as the sequential search with
-    unspecified interleaving; the sink is called under a lock so any
-    callable is safe.  Counts are aggregated exactly and ``limit`` still
-    cuts after exactly that many emissions.
-    """
-    params = config.params
-    row1, row2 = initial_rows(params)
-    branch_solutions = list(enumerate_solutions(build_system(row2, 3, params)))
-
-    lock = threading.Lock()
-    state = {"count": 0, "stop": False}
-
-    def emit(pm: PartitionMatrix) -> bool:
-        with lock:
-            if state["stop"]:
-                return False
-            sink(pm)
-            state["count"] += 1
-            if config.limit is not None and state["count"] >= config.limit:
-                state["stop"] = True
-            return not state["stop"]
-
-    verify = config.verify_resolved
-    m = params.m
-
-    def run_branch(k3: tuple[int, ...]) -> None:
-        rows = [row1, row2, child_row(row2, k3)]
-
-        def extend(i: int) -> Iterator[PartitionMatrix]:
-            system = build_system(rows[-1], i, params)
-            for k in enumerate_solutions(system):
-                rows.append(child_row(rows[-1], k))
-                if i == m:
-                    yield PartitionMatrix(m, tuple(rows))
-                else:
-                    yield from extend(i + 1)
-                rows.pop()
-
-        if m == 3:
-            stream: Iterator[PartitionMatrix] = iter(
-                [PartitionMatrix(m, tuple(rows))]
-            )
-        else:
-            stream = extend(4)
-        for pm in stream:
-            if verify and not gram.is_hadamard_zo(decode_matrix(pm)):
-                raise InternalInvariantViolation("generated matrix failed verification")
-            if not emit(pm):
-                return
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [pool.submit(run_branch, k3) for k3 in branch_solutions]
-        for fut in futures:
-            fut.result()
-    return state["count"]

@@ -9,26 +9,7 @@ of trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import BitMatrix, dot, pack_row
-
-
-@dataclass(frozen=True)
-class GramTarget:
-    """The expected Gram pattern for side m: diagonal b = 2a, off-diagonal a."""
-
-    m: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        assert self.b == 2 * self.a and self.m == 4 * self.a - 1
-
-    @classmethod
-    def for_order(cls, m: int) -> "GramTarget":
-        a = (m + 1) // 4
-        return cls(m=m, a=a, b=2 * a)
 
 
 def gram_rows(t: BitMatrix) -> tuple[tuple[int, ...], ...]:
@@ -45,8 +26,8 @@ def is_hadamard_zo(t: BitMatrix) -> bool:
     """True iff t is a Hadamard matrix in {0,1} form.
 
     Checks rows only: m = 3 mod 4 (side 1 therefore returns False) and the
-    row Gram matrix equals the GramTarget pattern.  Rows are packed into
-    int masks so the pairwise products are popcounts.
+    row Gram matrix is 2q on the diagonal and q off it, q = (m+1)/4.  Rows
+    are packed into int masks so the pairwise products are popcounts.
     """
     m = t.m
     if m < 3 or m % 4 != 3:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import BitMatrix, OrderTooLarge, SearchParams
+from .core import BitMatrix, OrderTooLarge, SearchParams, pack_row
 from .generator import initial_rows
 from .partition import PartitionMatrix, canonicalize, decode_row, encode_matrix
 
@@ -43,7 +43,7 @@ def brute_force_canonical(
         candidates.append(mask)
 
     row1, row2 = (decode_row(g) for g in initial_rows(params))
-    fixed = [_mask(row1, m), _mask(row2, m)]
+    fixed = [pack_row(row1), pack_row(row2)]
     found: set[PartitionMatrix] = set()
     prefix = list(fixed)
 
@@ -60,13 +60,6 @@ def brute_force_canonical(
 
     extend()
     return found
-
-
-def _mask(bits: tuple[int, ...], m: int) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
 
 
 def _unmask(mask: int, m: int) -> tuple[int, ...]:

@@ -43,11 +43,15 @@ def normalize(h: SignMatrix) -> SignMatrix:
     return SignMatrix.of(rows)
 
 
+def is_normalized(h: SignMatrix) -> bool:
+    """True iff the first row and the first column of h are all +1."""
+    return all(e == 1 for e in h.rows[0]) and all(row[0] == 1 for row in h.rows)
+
+
 def zo_from_pm(h: SignMatrix) -> BitMatrix:
     """{0,1} form of a normalized sign matrix: drop the all-ones border and
     map interior -1 -> 1, +1 -> 0."""
-    bad = any(e != 1 for e in h.rows[0]) or any(row[0] != 1 for row in h.rows)
-    if bad:
+    if not is_normalized(h):
         raise NotNormalized("first row and first column must be all +1")
     return BitMatrix.of(
         [[(1 - e) // 2 for e in row[1:]] for row in h.rows[1:]]

@@ -209,22 +209,11 @@ def test_criterion_7_solver_oracle_equivalence(m11_run):
 
 
 def test_criterion_8_determinism(tmp_path):
-    a, b, c = (tmp_path / name for name in ("a.gl", "b.gl", "par.gl"))
+    a, b = (tmp_path / name for name in ("a.gl", "b.gl"))
     assert cli_main(["generate", "-m", "7", "-o", str(a)]) == 0
     assert cli_main(["generate", "-m", "7", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert cli_main(
-        ["generate", "-m", "7", "-o", str(c), "--parallel", "3"]
-    ) == 0
-    bodies = lambda p: sorted(
-        line.split(":", 1)[1] for line in p.read_text().splitlines()
-    )
-    assert bodies(a) == bodies(c)
-    _report(
-        8,
-        "determinism",
-        "sequential runs byte-identical; parallel run same 30-matrix multiset",
-    )
+    _report(8, "determinism", "two runs byte-identical")
 
 
 def test_criterion_9_bench_format(capsys):

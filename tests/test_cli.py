@@ -1,10 +1,15 @@
 import re
 
+import pytest
+
 from hadamard01.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -19,10 +24,15 @@ def test_generate_m3_golden(tmp_path, capsys):
     assert "1 matrices" in err
 
 
-def test_generate_rejects_bad_order(capsys):
-    code, _, err = run(capsys, "generate", "-m", "14")
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "-m", "14"], "m=14 is incorrect size for Hadamard matrices"),
+    (["generate", "-m", "7", "--limit", "0"], "--limit: must be at least 1"),
+    (["bench", "-m", "7", "--limit", "-1"], "--limit: must be at least 1"),
+], ids=["order", "generate-limit", "bench-limit"])
+def test_generate_rejects_bad_order(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "m=14 is incorrect size for Hadamard matrices" in err
+    assert message in err
 
 
 def test_generate_m7_labels(tmp_path, capsys):
@@ -35,16 +45,26 @@ def test_generate_m7_labels(tmp_path, capsys):
     assert lines[-1].startswith("HM_7_30:")
 
 
-def test_generate_limit_and_formats(tmp_path, capsys):
-    d01 = tmp_path / "m7.d01"
+@pytest.mark.parametrize("fmt", ["dense01", "densepm"])
+def test_generate_limit_and_formats(tmp_path, capsys, fmt):
+    dense = tmp_path / "m7.dense"
     code, _, _ = run(
-        capsys, "generate", "-m", "7", "--limit", "4", "--format", "dense01",
-        "-o", str(d01),
+        capsys, "generate", "-m", "7", "--limit", "4", "--format", fmt,
+        "-o", str(dense),
     )
     assert code == 0
-    blocks = d01.read_text().split("\n\n")
+    blocks = dense.read_text().split("\n\n")
     assert len(blocks) == 4
-    assert all(len(b.strip().splitlines()) == 7 for b in blocks)
+    # densepm carries the all-ones border, so its side is m + 1
+    side = 7 if fmt == "dense01" else 8
+    assert all(len(b.strip().splitlines()) == side for b in blocks)
+    # generate writes through the same writer as convert
+    gl = tmp_path / "m7.gl"
+    converted = tmp_path / "m7.converted"
+    run(capsys, "generate", "-m", "7", "--limit", "4", "-o", str(gl))
+    assert run(capsys, "convert", str(gl), "--from", "grouplist", "--to", fmt,
+               "-o", str(converted))[0] == 0
+    assert dense.read_bytes() == converted.read_bytes()
 
 
 def test_generate_progress_goes_to_diagnostics(tmp_path, capsys):
@@ -169,19 +189,6 @@ def test_bench_with_duration(capsys):
     code, stdout, _ = run(capsys, "bench", "-m", "15", "--duration", "0.3")
     assert code == 0
     assert re.search(r"v=\d+ matrices/minute", stdout)
-
-
-def test_parallel_generate_same_multiset(tmp_path, capsys):
-    seq = tmp_path / "seq.gl"
-    par = tmp_path / "par.gl"
-    run(capsys, "generate", "-m", "7", "-o", str(seq))
-    code, _, _ = run(capsys, "generate", "-m", "7", "-o", str(par),
-                     "--parallel", "3")
-    assert code == 0
-    strip = lambda line: line.split(":", 1)[1]
-    seq_bodies = sorted(strip(l) for l in seq.read_text().splitlines())
-    par_bodies = sorted(strip(l) for l in par.read_text().splitlines())
-    assert seq_bodies == par_bodies
 
 
 def test_missing_input_file_is_exit_2(capsys):

@@ -10,12 +10,12 @@ from conftest import bits
 
 def test_validate_order_m15():
     p = validate_order(15)
-    assert (p.m, p.q, p.a, p.b, p.n) == (15, 4, 4, 8, 16)
+    assert (p.m, p.q, p.b) == (15, 4, 8)
 
 
 def test_validate_order_smallest():
     p = validate_order(3)
-    assert (p.m, p.q, p.a, p.b, p.n) == (3, 1, 1, 2, 4)
+    assert (p.m, p.q, p.b) == (3, 1, 2)
 
 
 @pytest.mark.parametrize("bad", [14, 13, 12, 4, 2, 1, 0, -1, -5])
@@ -73,5 +73,4 @@ def test_pack_row_popcount_matches_dot(u):
 @given(st.integers(min_value=0, max_value=200).map(lambda k: 4 * k + 3))
 def test_weight_is_twice_overlap(m):
     p = validate_order(m)
-    assert p.b == 2 * p.a
-    assert p.n == p.m + 1 and p.q == p.a
+    assert p.b == 2 * p.q

@@ -58,8 +58,11 @@ def test_render_is_whitespace_free(known15):
     assert reparsed[0][1] == encode_matrix(known15)
 
 
-def test_parse_reports_line_numbers():
-    bad = "HM_3_1:[[[0,2],[1,1]],\n[[0,1],[1,1],[2,1]],\n[[1,1],[2,1],[4,?]]]$"
+@pytest.mark.parametrize("last_row", [
+    "[[1,1],[2,1],[4,?]]", "[[1,1],[2,1],[4,x]]", "[[1,1],[x,1],[4,1]]",
+], ids=["bad-character", "count-not-integer", "label-not-integer"])
+def test_parse_reports_line_numbers(last_row):
+    bad = f"HM_3_1:[[[0,2],[1,1]],\n[[0,1],[1,1],[2,1]],\n{last_row}]$"
     with pytest.raises(FormatError) as exc:
         parse_grouplist(bad)
     assert exc.value.line == 3

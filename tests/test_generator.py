@@ -6,13 +6,12 @@ from hadamard01 import (
     GroupList,
     InternalInvariantViolation,
     decode_matrix,
-    generate,
     initial_rows,
     is_hadamard_zo,
     iter_matrices,
     validate_order,
 )
-from hadamard01.generator import child_row, generate_parallel
+from hadamard01.generator import child_row
 
 
 def test_initial_rows_m15(params15):
@@ -104,13 +103,6 @@ def test_verify_policy_defaults():
     assert GenConfig(validate_order(19), verify_each=True).verify_resolved
 
 
-def test_generate_counts_and_feeds_sink(m7_matrices):
-    seen = []
-    count = generate(GenConfig(validate_order(7)), seen.append)
-    assert count == 30
-    assert tuple(seen) == m7_matrices
-
-
 def test_verification_failure_aborts(monkeypatch):
     import hadamard01.gram as gram_module
 
@@ -126,30 +118,6 @@ def test_progress_logs_row_entries(caplog):
         list(iter_matrices(GenConfig(validate_order(7), progress=True)))
     assert "i=3" in caplog.text
     assert "i=7" in caplog.text
-
-
-@pytest.mark.parametrize("threads", [2, 4])
-def test_parallel_same_multiset(threads, m7_matrices):
-    collected = []
-    count = generate_parallel(
-        GenConfig(validate_order(7)), collected.append, threads
-    )
-    assert count == 30
-    assert sorted(collected) == sorted(m7_matrices)
-
-
-def test_parallel_respects_limit():
-    collected = []
-    count = generate_parallel(
-        GenConfig(validate_order(7), limit=12), collected.append, 3
-    )
-    assert count == 12 and len(collected) == 12
-
-
-def test_parallel_m3():
-    collected = []
-    assert generate_parallel(GenConfig(validate_order(3)), collected.append, 2) == 1
-    assert len(collected) == 1
 
 
 def test_deadline_stops_search_promptly():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hadamard01 import BitMatrix, gram_cols, gram_rows, is_hadamard_zo
-from hadamard01.gram import GramTarget
 
 ZO3 = BitMatrix.of([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -126,8 +125,3 @@ def test_row_column_duality_on_generated_matrices(m7_matrices):
         t = decode_matrix(pm)
         assert gram_rows(t) == target
         assert gram_cols(t) == target
-
-
-def test_gram_target_for_order():
-    gt = GramTarget.for_order(15)
-    assert (gt.m, gt.a, gt.b) == (15, 4, 8)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from contextlib import contextmanager
 from typing import Iterator
 
 from . import formats
-from .core import BitMatrix, HadamardError, validate_order
+from .core import BitMatrix, FormatError, HadamardError, validate_order
 from .generator import GenConfig, iter_matrices
 from .gram import is_hadamard_zo
 from .partition import decode_matrix, encode_matrix
@@ -31,6 +32,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measure the matrix production rate")
     p_bench.add_argument("-m", type=int, required=True)
     p_bench.add_argument("--limit", type=_positive_int, help="stop after N matrices")
-    p_bench.add_argument("--duration", type=float,
+    p_bench.add_argument("--duration", type=_positive_seconds,
                          help="stop after this many seconds")
     return parser
 
@@ -152,9 +160,23 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a non-ASCII byte is a FormatError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"non-ASCII byte {data[exc.start]:#04x}",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    # universal newlines, as a text-mode read gives
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _cmd_verify(args) -> int:
-    with open(args.input, "r", encoding="ascii") as handle:
-        text = handle.read()
+    text = _read_input(args.input)
     failures = 0
     total = 0
     for name, passed in _verify_records(text, args.format):
@@ -183,8 +205,7 @@ def _verify_records(text: str, fmt: str) -> Iterator[tuple[str, bool]]:
 
 
 def _cmd_convert(args) -> int:
-    with open(args.input, "r", encoding="ascii") as handle:
-        text = handle.read()
+    text = _read_input(args.input)
     bits = _read_as_bits(text, args.from_format, args.normalize)
     with _open_out(args.output) as out:
         if args.to_format == "grouplist":

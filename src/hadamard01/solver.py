@@ -12,6 +12,9 @@ rationals, free variables are ordered by variable index, and their
 assignments are scanned in odometer order from all-zeros with the first
 free variable varying fastest; assignments whose dependent values are
 fractional or out of bounds are skipped.
+
+The last row (i = m) is forced: once rows 1..m-1 meet the Gram test, every
+column ends at weight 2q, so a group of weight w_s takes count_s * (2q - w_s).
 """
 
 from __future__ import annotations
@@ -95,9 +98,7 @@ def _reduced_echelon(
             if k == r or f == 0:
                 continue
             new = [p * e - f * pe for e, pe in zip(mat[k], prow)]
-            g = 0
-            for e in new:
-                g = gcd(g, e)
+            g = gcd(*new)
             mat[k] = [e // g for e in new] if g > 1 else new
         pivots.append((r, c))
         r += 1
@@ -120,6 +121,12 @@ def _reduced_echelon(
     return dependents, free_cols
 
 
+def contains(sys: RowSystem, k: tuple[int, ...]) -> bool:
+    """Whether k is a bounded solution of sys, by direct substitution."""
+    return all(0 <= v <= u for v, u in zip(k, sys.bounds)) and all(
+        sum(k[s] for s in support) == rhs for support, rhs in sys.equations)
+
+
 def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     """Yield every bounded nonnegative integer solution exactly once.
 
@@ -127,7 +134,20 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     odometer scan over free-variable assignments; whole odometer blocks
     that cannot contain a solution are skipped by interval arithmetic,
     which never changes the yielded sequence.
+
+    At the last row (i = m = sum of bounds) only the forced candidate is
+    checked: exact when rows 1..m-1 meet the Gram test, as search prefixes do.
     """
+    if sys.i == sum(sys.bounds):
+        two_q = sys.equations[0][1]
+        weight = [0] * len(sys.bounds)  # w_s: overlap equations holding s
+        for support, _ in sys.equations[1:]:
+            for s in support:
+                weight[s] += 1
+        k = tuple(c * (two_q - w) for c, w in zip(sys.bounds, weight))
+        if contains(sys, k):  # 2q - w_s not 0 or 1 fails the bounds
+            yield k
+        return
     reduced = _reduced_echelon(sys)
     if reduced is None:
         return

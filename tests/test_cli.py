@@ -28,7 +28,12 @@ def test_generate_m3_golden(tmp_path, capsys):
     (["generate", "-m", "14"], "m=14 is incorrect size for Hadamard matrices"),
     (["generate", "-m", "7", "--limit", "0"], "--limit: must be at least 1"),
     (["bench", "-m", "7", "--limit", "-1"], "--limit: must be at least 1"),
-], ids=["order", "generate-limit", "bench-limit"])
+    (["bench", "-m", "7", "--duration", "0"],
+     "--duration: must be finite and positive"),
+    (["bench", "-m", "7", "--duration", "nan"],
+     "--duration: must be finite and positive"),
+], ids=["order", "generate-limit", "bench-limit", "bench-duration-zero",
+        "bench-duration-nan"])
 def test_generate_rejects_bad_order(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -103,12 +108,20 @@ def test_verify_mixed_blocks(tmp_path, capsys):
     assert "matrix 1: PASS" in stdout and "matrix 2: FAIL" in stdout
 
 
-def test_verify_reports_parse_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("command, content, where", [
+    (["verify"], b"HM_3_1:[[[0,2],[1,1]]\n", "line"),
+    (["verify"], b"HM_3_1:[[[0,2],[1,1]],\n\xff[[0,1],[1,1],[2,1]]]$\n",
+     "line 2"),
+    (["convert", "--from", "dense01", "--to", "grouplist"],
+     b"110\n1\xff1\n011\n", "line 2"),
+], ids=["syntax", "verify-non-ascii", "convert-non-ascii"])
+def test_verify_reports_parse_error_line(tmp_path, capsys, command, content,
+                                         where):
     f = tmp_path / "broken.txt"
-    f.write_text("HM_3_1:[[[0,2],[1,1]]\n")
-    code, _, err = run(capsys, "verify", str(f))
+    f.write_bytes(content)
+    code, _, err = run(capsys, command[0], str(f), *command[1:])
     assert code == 2
-    assert "line" in err
+    assert where in err
 
 
 def test_verify_densepm(tmp_path, capsys):

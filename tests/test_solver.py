@@ -1,9 +1,17 @@
+import itertools
+
 import pytest
 
-from hadamard01 import GroupList, dot, validate_order
+from hadamard01 import GenConfig, GroupList, dot, iter_matrices, validate_order
+from hadamard01 import solver
 from hadamard01.generator import child_row, initial_rows
 from hadamard01.partition import decode_row
-from hadamard01.solver import RowSystem, build_system, enumerate_solutions
+from hadamard01.solver import (
+    RowSystem,
+    build_system,
+    contains,
+    enumerate_solutions,
+)
 
 from conftest import brute_force_solutions, walk_systems
 
@@ -110,3 +118,32 @@ def test_solutions_give_valid_rows():
             assert sum(new_row) == params.b
             for prev in decoded_prev:
                 assert dot(new_row, prev) == params.q
+
+
+def test_contains_matches_brute_force_on_every_m7_system():
+    for _, sys in walk_systems(7):
+        hits = brute_force_solutions(sys)
+        for k in itertools.product(*(range(u + 1) for u in sys.bounds)):
+            assert contains(sys, k) == (k in hits)
+
+
+def test_contains_checks_bounds():
+    # (2, 0) and (-1, 3) satisfy the equation but leave the box
+    sys = RowSystem(i=3, bounds=(1, 1), equations=(((0, 1), 2),))
+    assert contains(sys, (1, 1))
+    assert not contains(sys, (2, 0))
+    assert not contains(sys, (-1, 3))
+
+
+def test_last_row_is_forced_without_reduction(monkeypatch):
+    depths = []
+    reduce = solver._reduced_echelon
+
+    def recording(sys):
+        depths.append(sys.i)
+        return reduce(sys)
+
+    monkeypatch.setattr(solver, "_reduced_echelon", recording)
+    matrices = list(iter_matrices(GenConfig(validate_order(7))))
+    assert len(matrices) == 30
+    assert depths and 7 not in depths

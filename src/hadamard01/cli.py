@@ -2,6 +2,11 @@
 
 Exit statuses: 0 on success (all records pass for verify), 1 when a
 verification reports failures, 2 on usage, parse, or domain errors.
+
+verify and convert stream their input one record at a time.  When a record
+fails to parse, the records before it have already been reported (verify)
+or written (convert); the command then stops with exit 2 and the
+line-numbered error.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -160,42 +166,46 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _read_input(path: str) -> str:
-    """The text of an input file; a non-ASCII byte is a FormatError."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"non-ASCII byte {data[exc.start]:#04x}",
-            line=data.count(b"\n", 0, exc.start) + 1,
-        ) from None
-    # universal newlines, as a text-mode read gives
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+@contextmanager
+def _read_input(path: str):
+    """The lines of an input file, read one at a time.
+
+    A non-ASCII byte is a FormatError on its line.  latin-1 decodes every
+    byte, so the check sees the byte instead of a decode error; newlines
+    are universal, as in any text-mode read.
+    """
+    with open(path, encoding="latin-1", newline=None) as handle:
+        def lines() -> Iterator[str]:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.isascii():
+                    byte = next(ch for ch in line if not ch.isascii())
+                    raise FormatError(f"non-ASCII byte {ord(byte):#04x}", line=lineno)
+                yield line
+
+        yield lines()
 
 
 def _cmd_verify(args) -> int:
-    text = _read_input(args.input)
     failures = 0
     total = 0
-    for name, passed in _verify_records(text, args.format):
-        total += 1
-        print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        failures += not passed
+    with _read_input(args.input) as lines:
+        for name, passed in _verify_records(lines, args.format):
+            total += 1
+            print(f"{name}: {'PASS' if passed else 'FAIL'}")
+            failures += not passed
     print(f"{total - failures}/{total} records pass", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _verify_records(text: str, fmt: str) -> Iterator[tuple[str, bool]]:
+def _verify_records(lines: Iterator[str], fmt: str) -> Iterator[tuple[str, bool]]:
     if fmt == "grouplist":
-        for name, pm in formats.parse_grouplist(text):
+        for name, pm in formats.parse_grouplist(lines):
             yield name, is_hadamard_zo(decode_matrix(pm))
     elif fmt == "dense01":
-        for idx, t in enumerate(formats.parse_dense01(text), start=1):
+        for idx, t in enumerate(formats.parse_dense01(lines), start=1):
             yield f"matrix {idx}", is_hadamard_zo(t)
     else:
-        for idx, h in enumerate(formats.parse_densepm(text), start=1):
+        for idx, h in enumerate(formats.parse_densepm(lines), start=1):
             ok = verify_sign_hadamard(h)
             # cross-check through the {0,1} form where the characterization
             # applies (side >= 4 and all-ones border)
@@ -205,9 +215,11 @@ def _verify_records(text: str, fmt: str) -> Iterator[tuple[str, bool]]:
 
 
 def _cmd_convert(args) -> int:
-    text = _read_input(args.input)
-    bits = _read_as_bits(text, args.from_format, args.normalize)
-    with _open_out(args.output) as out:
+    if args.output and os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        # streaming would truncate the input before reading it
+        raise HadamardError(f"output {args.output} is the input file")
+    with _read_input(args.input) as lines, _open_out(args.output) as out:
+        bits = _read_as_bits(lines, args.from_format, args.normalize)
         if args.to_format == "grouplist":
             formats.write_grouplist(out, (encode_matrix(t) for t in bits))
         elif args.to_format == "dense01":
@@ -217,18 +229,16 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _read_as_bits(text: str, fmt: str, do_normalize: bool) -> list[BitMatrix]:
-    """Parse any input format down to a list of bit matrices."""
+def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterator[BitMatrix]:
+    """Parse any input format down to bit matrices, one at a time."""
     if fmt == "grouplist":
-        return [decode_matrix(pm) for _, pm in formats.parse_grouplist(text)]
-    if fmt == "dense01":
-        return formats.parse_dense01(text)
-    out = []
-    for h in formats.parse_densepm(text):
-        if do_normalize:
-            h = normalize(h)
-        out.append(zo_from_pm(h))
-    return out
+        for _, pm in formats.parse_grouplist(lines):
+            yield decode_matrix(pm)
+    elif fmt == "dense01":
+        yield from formats.parse_dense01(lines)
+    else:
+        for h in formats.parse_densepm(lines):
+            yield zo_from_pm(normalize(h) if do_normalize else h)
 
 
 def _cmd_bench(args) -> int:

@@ -16,7 +16,8 @@ class HadamardError(Exception):
 
 
 class InvalidOrder(HadamardError):
-    """The requested order m is not admissible (m >= 3 and m = 3 mod 4)."""
+    """The order m is not admissible: the search needs m >= 3 and
+    m = 3 mod 4, and a {0,1} form needs m >= 1."""
 
 
 class LengthMismatch(HadamardError):

@@ -5,16 +5,21 @@ Three record formats, all line-oriented ASCII:
 grouplist   one record per line, ``HM_<m>_<k>:<nested lists>$`` with no
             interior whitespace.  The parser is tolerant: whitespace and
             line breaks may appear anywhere between tokens, record names
-            are any identifier, so hand-wrapped listings parse too.
+            are any identifier, so hand-wrapped listings parse too.  A
+            line holding exactly one record takes a one-regex fast path.
 dense01     one matrix per block, rows as contiguous 0/1 characters, one
             row per line, blocks separated by a blank line.
 densepm     same block layout with entries + and - for +1 and -1.
+
+The parsers take an iterable of lines (such as an open text file) and
+yield one record at a time, so a file of any size is read in bounded
+memory.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import BitMatrix, FormatError, SignMatrix
 from .partition import (
@@ -26,6 +31,11 @@ from .partition import (
 FORMATS = ("grouplist", "dense01", "densepm")
 
 _TOKEN = re.compile(r"([ \t]+)|(\n)|([\[\],:$])|(\d+)|([A-Za-z_][A-Za-z0-9_]*)")
+# numbers short enough for int(); a longer one goes to the tokenizer, which reports it
+_PAIR = r"\[\d{1,999},\d{1,999}\]"
+_ROW = rf"\[{_PAIR}(?:,{_PAIR})*\]"
+# one whole record on one line, as the writer emits it: (name, rows)
+_RECORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*):\[({_ROW}(?:,{_ROW})*)\]\$\n?")
 
 
 def render_grouplist(pm: PartitionMatrix) -> str:
@@ -51,79 +61,105 @@ def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
 
 
 class _Tokens:
-    """Token stream over a record file, tracking line numbers."""
+    """Token stream over numbered lines of a record file.
 
-    def __init__(self, text: str):
-        self.toks: list[tuple[str, int]] = []
-        line = 1
+    A line is pulled from ``lines`` only when the tokens of the lines
+    before it are used up.
+    """
+
+    def __init__(self, lines: Iterator[tuple[int, str]]):
+        self.lines = lines
+        self.toks: list[str] = []  # tokens of the last line that had any
+        self.i = 0
+        self.line = 1  # the number of that line
+
+    def feed(self, text: str, line: int) -> None:
+        """Tokenize one line into the buffer."""
+        toks = []
         pos = 0
         for match in _TOKEN.finditer(text):
             if match.start() != pos:
-                raise FormatError(
-                    f"unexpected character {text[pos]!r}", line=line
-                )
+                break
             pos = match.end()
-            if match.group(1):
-                continue
-            if match.group(2):
-                line += 1
-                continue
-            self.toks.append((match.group(0), line))
+            if match.lastindex > 2:  # not whitespace or a line break
+                toks.append(match.group())
         if pos != len(text):
             raise FormatError(f"unexpected character {text[pos]!r}", line=line)
-        self.i = 0
+        if toks:
+            self.toks, self.i, self.line = toks, 0, line
+
+    def buffered(self) -> bool:
+        return self.i < len(self.toks)
 
     def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    @property
-    def line(self) -> int:
-        if self.i < len(self.toks):
-            return self.toks[self.i][1]
-        return self.toks[-1][1] if self.toks else 1
+        while not self.buffered():
+            line, text = next(self.lines, (0, None))
+            if text is None:
+                return None
+            self.feed(text, line)
+        return self.toks[self.i]
 
     def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
+        tok = self.peek()
+        if tok is None:
             raise FormatError("unexpected end of file", line=self.line)
-        tok, line = self.toks[self.i]
         if expected is not None and tok != expected:
-            raise FormatError(f"expected {expected!r}, found {tok!r}", line=line)
+            raise FormatError(f"expected {expected!r}, found {tok!r}", line=self.line)
         self.i += 1
         return tok
 
 
-def parse_grouplist(text: str) -> list[tuple[str, PartitionMatrix]]:
-    """Parse all records of a grouplist file into (name, matrix) pairs.
+def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix]]:
+    """Parse the records of a grouplist file into (name, matrix) pairs,
+    pulling lines only as far as the record being yielded.
 
-    Raises FormatError (with line number) on malformed syntax and on group
-    lists that violate the refinement invariants.
+    A line that is one canonical record is matched whole by ``_RECORD``;
+    any other line goes to the tolerant tokenizer, which reads on until
+    its record ends.  Raises FormatError (with line number) on malformed
+    syntax and on group lists that violate the refinement invariants.
     """
-    toks = _Tokens(text)
-    records: list[tuple[str, PartitionMatrix]] = []
-    while toks.peek() is not None:
-        start_line = toks.line
-        name = toks.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-            raise FormatError(f"expected record name, found {name!r}", line=start_line)
-        toks.take(":")
-        rows = []
-        toks.take("[")
-        while True:
-            rows.append(_parse_row(toks, depth=len(rows) + 1))
-            if toks.peek() == ",":
-                toks.take(",")
-                continue
-            break
-        toks.take("]")
-        toks.take("$")
-        m = sum(count for _, count in rows[0].groups)
-        pm = PartitionMatrix(m, tuple(rows))
-        try:
-            validate_partition_matrix(pm)
-        except ValueError as exc:
-            raise FormatError(f"record {name}: {exc}", line=start_line) from exc
-        records.append((name, pm))
-    return records
+    numbered = enumerate(lines, start=1)
+    toks = _Tokens(numbered)  # shares the line iterator with this loop
+    for line, text in numbered:
+        if match := _RECORD.fullmatch(text):
+            rows = []
+            for depth, row in enumerate(match[2][2:-2].split("]],[["), start=1):
+                nums = map(int, row.replace("],[", ",").split(","))
+                rows.append(GroupList(depth, tuple(zip(nums, nums))))  # (label, count)
+            yield _checked(match[1], rows, line)
+            continue
+        toks.feed(text, line)
+        while toks.buffered():
+            yield _parse_record(toks)
+
+
+def _parse_record(toks: _Tokens) -> tuple[str, PartitionMatrix]:
+    start_line = toks.line
+    name = toks.take()
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        raise FormatError(f"expected record name, found {name!r}", line=start_line)
+    toks.take(":")
+    rows = []
+    toks.take("[")
+    while True:
+        rows.append(_parse_row(toks, depth=len(rows) + 1))
+        if toks.peek() == ",":
+            toks.take(",")
+            continue
+        break
+    toks.take("]")
+    toks.take("$")
+    return _checked(name, rows, start_line)
+
+
+def _checked(name: str, rows: list[GroupList], line: int) -> tuple[str, PartitionMatrix]:
+    m = sum(count for _, count in rows[0].groups)
+    pm = PartitionMatrix(m, tuple(rows))
+    try:
+        validate_partition_matrix(pm)
+    except ValueError as exc:
+        raise FormatError(f"record {name}: {exc}", line=line) from exc
+    return name, pm
 
 
 def _parse_row(toks: _Tokens, depth: int) -> GroupList:
@@ -137,8 +173,8 @@ def _parse_row(toks: _Tokens, depth: int) -> GroupList:
             count = int(toks.take())
         except ValueError:
             # int() rejected the token take() just returned
-            tok, line = toks.toks[toks.i - 1]
-            raise FormatError(f"expected an integer, found {tok!r}", line=line) from None
+            tok = toks.toks[toks.i - 1]
+            raise FormatError(f"expected an integer, found {tok!r}", line=toks.line) from None
         toks.take("]")
         groups.append((label, count))
         if toks.peek() == ",":
@@ -160,16 +196,11 @@ def write_dense01(out, matrices: Iterable[BitMatrix]) -> int:
     return count
 
 
-def parse_dense01(text: str) -> list[BitMatrix]:
+def parse_dense01(lines: Iterable[str]) -> Iterator[BitMatrix]:
     """Parse blank-line-separated blocks of 0/1 rows into square matrices."""
-    blocks = _blocks(text, alphabet="01", kind="dense01")
-    matrices = []
-    for block, start_line in blocks:
+    for block, start_line in _blocks(lines, alphabet="01", kind="dense01"):
         _require_square(block, start_line)
-        matrices.append(
-            BitMatrix.of([[int(ch) for ch in line] for line, _ in block])
-        )
-    return matrices
+        yield BitMatrix.of([[int(ch) for ch in line] for line, _ in block])
 
 
 _PM_ENTRY = {"+": 1, "-": -1}
@@ -186,29 +217,23 @@ def write_densepm(out, matrices: Iterable[SignMatrix]) -> int:
     return count
 
 
-def parse_densepm(text: str) -> list[SignMatrix]:
+def parse_densepm(lines: Iterable[str]) -> Iterator[SignMatrix]:
     """Parse blank-line-separated blocks of +/- rows into square matrices."""
-    blocks = _blocks(text, alphabet="+-", kind="densepm")
-    matrices = []
-    for block, start_line in blocks:
+    for block, start_line in _blocks(lines, alphabet="+-", kind="densepm"):
         _require_square(block, start_line)
-        matrices.append(
-            SignMatrix.of([[_PM_ENTRY[ch] for ch in line] for line, _ in block])
-        )
-    return matrices
+        yield SignMatrix.of([[_PM_ENTRY[ch] for ch in line] for line, _ in block])
 
 
 def _blocks(
-    text: str, alphabet: str, kind: str
-) -> list[tuple[list[tuple[str, int]], int]]:
-    """Split into (block, start line) pairs of consecutive data lines."""
-    blocks: list[list[tuple[str, int]]] = []
+    lines: Iterable[str], alphabet: str, kind: str
+) -> Iterator[tuple[list[tuple[str, int]], int]]:
+    """Yield (block, start line) pairs of consecutive data lines."""
     current: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             if current:
-                blocks.append(current)
+                yield current, current[0][1]
                 current = []
             continue
         bad = next((ch for ch in line if ch not in alphabet), None)
@@ -218,8 +243,7 @@ def _blocks(
             )
         current.append((line, lineno))
     if current:
-        blocks.append(current)
-    return [(block, block[0][1]) for block in blocks]
+        yield current, current[0][1]
 
 
 def _require_square(block: list[tuple[str, int]], start_line: int) -> None:

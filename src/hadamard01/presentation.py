@@ -9,7 +9,7 @@ pattern on the other.
 
 from __future__ import annotations
 
-from .core import BitMatrix, NotHadamard, NotNormalized, SignMatrix
+from .core import BitMatrix, InvalidOrder, NotHadamard, NotNormalized, SignMatrix
 
 
 def verify_sign_hadamard(h: SignMatrix) -> bool:
@@ -51,6 +51,11 @@ def is_normalized(h: SignMatrix) -> bool:
 def zo_from_pm(h: SignMatrix) -> BitMatrix:
     """{0,1} form of a normalized sign matrix: drop the all-ones border and
     map interior -1 -> 1, +1 -> 0."""
+    if h.n < 2:
+        raise InvalidOrder(
+            f"a {h.n}x{h.n} sign matrix has no {{0,1}} form: removing its "
+            "border leaves no row"
+        )
     if not is_normalized(h):
         raise NotNormalized("first row and first column must be all +1")
     return BitMatrix.of(

@@ -221,4 +221,7 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
                 yield from scan(level, new_sums)
         digits[level] = 0
 
-    yield from scan(nfree, (0,) * ndep)
+    try:
+        yield from scan(nfree, (0,) * ndep)
+    finally:
+        del scan  # scan refers to itself; free it without the cyclic GC

@@ -8,6 +8,7 @@ complements fall into column-permutation orbits of size 11!.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
@@ -171,7 +172,7 @@ def test_criterion_5_characterization_equivalence(m):
 
 
 def test_criterion_6_encoding_fidelity(known15):
-    [(_, listing)] = parse_grouplist(KNOWN_15_LISTING)
+    [(_, listing)] = parse_grouplist(io.StringIO(KNOWN_15_LISTING))
     encoded = encode_matrix(known15)
     assert encoded == listing
     assert decode_matrix(listing) == known15

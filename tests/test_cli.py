@@ -124,6 +124,72 @@ def test_verify_reports_parse_error_line(tmp_path, capsys, command, content,
     assert where in err
 
 
+M3_RECORD = "HM_3_1:[[[0,2],[1,1]],[[0,1],[1,1],[2,1]],[[1,1],[2,1],[4,1]]]$\n"
+
+
+# Input is streamed: records before a malformed one are already reported
+# or written when the parse error stops the command.
+TRUNCATED_SECOND = M3_RECORD + "HM_3_2:[[[0,2],[1,1]]\n"
+
+
+def test_verify_reports_records_before_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "two.gl"
+    f.write_text(TRUNCATED_SECOND)
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert "line 2" in err
+    assert out == "HM_3_1: PASS\n"
+
+
+def test_convert_writes_records_before_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "two.gl"
+    f.write_text(TRUNCATED_SECOND)
+    dst = tmp_path / "out.d01"
+    code, _, err = run(capsys, "convert", str(f), "--from", "grouplist",
+                       "--to", "dense01", "-o", str(dst))
+    assert code == 2
+    assert "line 2" in err
+    assert dst.read_text() == "110\n101\n011\n"
+
+
+def test_convert_refuses_to_overwrite_its_input(tmp_path, capsys):
+    f = tmp_path / "m3.gl"
+    f.write_text(M3_RECORD)
+    code, _, err = run(capsys, "convert", str(f), "--from", "grouplist",
+                       "--to", "grouplist", "-o", str(f))
+    assert code == 2
+    assert "is the input file" in err
+    assert f.read_text() == M3_RECORD
+
+
+@pytest.mark.parametrize("to", ["grouplist", "dense01"])
+def test_convert_rejects_one_by_one_sign_matrix(tmp_path, capsys, to):
+    # the 1x1 Hadamard matrix "+" has an empty {0,1} form
+    src = tmp_path / "one.pm"
+    src.write_text("+\n")
+    code, out, err = run(capsys, "convert", str(src), "--from", "densepm",
+                         "--to", to)
+    assert code == 2
+    assert "1x1 sign matrix has no {0,1} form" in err
+    assert out == ""
+    code, out, _ = run(capsys, "verify", str(src), "--format", "densepm")
+    assert code == 0
+    assert out == "matrix 1: PASS\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_input_lines_end_at_any_newline(tmp_path, capsys, newline):
+    f = tmp_path / "mix.d01"
+    f.write_bytes("110\n101\n011\n\n111\n111\n111\n".replace("\n", newline).encode())
+    code, out, _ = run(capsys, "verify", str(f), "--format", "dense01")
+    assert code == 1
+    assert out == "matrix 1: PASS\nmatrix 2: FAIL\n"
+    f.write_bytes(("110" + newline).encode() + b"1\xff1" + newline.encode())
+    code, _, err = run(capsys, "verify", str(f), "--format", "dense01")
+    assert code == 2
+    assert "line 2: non-ASCII byte 0xff" in err
+
+
 def test_verify_densepm(tmp_path, capsys):
     f = tmp_path / "h.pm"
     f.write_text("++\n+-\n\n++\n++\n")

@@ -1,6 +1,9 @@
 import io
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hadamard01 import (
     BitMatrix,
@@ -37,13 +40,13 @@ def test_golden_record_m3():
 def test_grouplist_round_trip(m7_matrices):
     out = io.StringIO()
     assert write_grouplist(out, m7_matrices) == 30
-    parsed = parse_grouplist(out.getvalue())
+    parsed = list(parse_grouplist(io.StringIO(out.getvalue())))
     assert [name for name, _ in parsed] == [f"HM_7_{k}" for k in range(1, 31)]
     assert tuple(pm for _, pm in parsed) == m7_matrices
 
 
 def test_parser_accepts_wrapped_listing(known15):
-    records = parse_grouplist(KNOWN_15_LISTING)
+    records = list(parse_grouplist(io.StringIO(KNOWN_15_LISTING)))
     assert len(records) == 1
     name, pm = records[0]
     assert name == "H"
@@ -54,7 +57,7 @@ def test_parser_accepts_wrapped_listing(known15):
 def test_render_is_whitespace_free(known15):
     body = render_grouplist(encode_matrix(known15))
     assert " " not in body and "\n" not in body
-    reparsed = parse_grouplist(f"X:{body}$")
+    reparsed = list(parse_grouplist(io.StringIO(f"X:{body}$")))
     assert reparsed[0][1] == encode_matrix(known15)
 
 
@@ -64,7 +67,7 @@ def test_render_is_whitespace_free(known15):
 def test_parse_reports_line_numbers(last_row):
     bad = f"HM_3_1:[[[0,2],[1,1]],\n[[0,1],[1,1],[2,1]],\n{last_row}]$"
     with pytest.raises(FormatError) as exc:
-        parse_grouplist(bad)
+        list(parse_grouplist(io.StringIO(bad)))
     assert exc.value.line == 3
 
 
@@ -72,24 +75,99 @@ def test_parse_rejects_refinement_breaks():
     # child label 5 has no parent group 2 in row 1
     bad = "X:[[[0,2],[1,1]],[[0,1],[1,1],[5,1]]]$"
     with pytest.raises(FormatError):
-        parse_grouplist(bad)
+        list(parse_grouplist(io.StringIO(bad)))
 
 
 def test_parse_rejects_truncated_record():
     with pytest.raises(FormatError):
-        parse_grouplist("X:[[[0,2],[1,1]]")
+        list(parse_grouplist(io.StringIO("X:[[[0,2],[1,1]]")))
+
+
+def test_parse_reports_overlong_integer_on_canonical_line():
+    # too many digits for int(): the fast path hands the line on to the
+    # tokenizer, which names it
+    line = f"X:[[[0,{'1' * 5000}]]]$"
+    with pytest.raises(FormatError, match="expected an integer") as exc:
+        list(parse_grouplist(io.StringIO(f"X:[[[0,1]]]$\n{line}\n")))
+    assert exc.value.line == 2
+
+
+_GROUPLIST_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[\[\],:$]")
+
+
+@given(st.data())
+def test_wrapped_record_parses_like_its_canonical_line(m7_matrices, data):
+    k = data.draw(st.integers(1, len(m7_matrices)))
+    pm = m7_matrices[k - 1]
+    toks = _GROUPLIST_TOKEN.findall(grouplist_record(pm, k))
+    seps = data.draw(st.lists(st.text(" \t\n", max_size=2),
+                              min_size=len(toks), max_size=len(toks)))
+    text = "".join(sep + tok for sep, tok in zip(seps, toks))
+    assert list(parse_grouplist(io.StringIO(text))) == [(f"HM_7_{k}", pm)]
+
+
+def _mixed_file(m7_matrices):
+    """Records 1-2 canonical, 3 wrapped over lines 3-9, 4 and 5 on line 10,
+    6 and 7 canonical on lines 11-12."""
+    lines = [grouplist_record(pm, k) for k, pm in enumerate(m7_matrices[:7], 1)]
+    wrapped = lines[2].replace("]],", "]],\n  ")
+    assert wrapped.count("\n") == 6
+    return [lines[0], lines[1], wrapped, lines[3] + " " + lines[4], lines[5], lines[6]]
+
+
+def test_mixed_file_parses_every_record(m7_matrices):
+    text = "\n".join(_mixed_file(m7_matrices)) + "\n"
+    parsed = list(parse_grouplist(io.StringIO(text)))
+    assert parsed == [(f"HM_7_{k}", pm) for k, pm in enumerate(m7_matrices[:7], 1)]
+
+
+def test_mixed_file_errors_name_their_line(m7_matrices):
+    lines = _mixed_file(m7_matrices)
+    # a malformed record on line 11, right after the two on line 10
+    bad = lines[:4] + ["HM_7_6:[[[0,4],[1,3]],[[0,2],[1,x]]]$"] + lines[5:]
+    got = []
+    with pytest.raises(FormatError, match="expected an integer") as exc:
+        got.extend(parse_grouplist(io.StringIO("\n".join(bad) + "\n")))
+    assert exc.value.line == 11
+    # a refinement break on the canonical line 12: row 2 moves a column from
+    # group 1 to group 0, so row 3 overfills group 1
+    broken = lines[:5] + [
+        lines[5].replace("[[0,2],[1,2],[2,2],[3,1]]", "[[0,3],[1,1],[2,2],[3,1]]")
+    ]
+    with pytest.raises(FormatError, match="record HM_7_7: row 3") as exc:
+        got.extend(parse_grouplist(io.StringIO("\n".join(broken) + "\n")))
+    assert exc.value.line == 12
+    # records before an error were yielded first
+    assert [name for name, _ in got] == [f"HM_7_{k}" for k in (1, 2, 3, 4, 5)] * 2 + ["HM_7_6"]
+
+
+def test_parse_pulls_lines_only_as_far_as_the_record(m7_matrices):
+    pulled = []
+
+    def lines():
+        for line in _mixed_file(m7_matrices):
+            for part in line.split("\n"):
+                pulled.append(part)
+                yield part + "\n"
+
+    records = parse_grouplist(lines())
+    assert next(records) == ("HM_7_1", m7_matrices[0])
+    assert len(pulled) == 1
+    next(records)
+    assert next(records) == ("HM_7_3", m7_matrices[2])
+    assert len(pulled) == 9  # the wrapped record ends on line 9
 
 
 def test_dense01_round_trip(m7_matrices):
     mats = [decode_matrix(pm) for pm in m7_matrices[:5]]
     out = io.StringIO()
     write_dense01(out, mats)
-    assert parse_dense01(out.getvalue()) == mats
+    assert list(parse_dense01(io.StringIO(out.getvalue()))) == mats
 
 
 def test_dense01_tolerates_extra_blank_lines():
     text = "\n\n10\n01\n\n\n11\n10\n\n"
-    mats = parse_dense01(text)
+    mats = list(parse_dense01(io.StringIO(text)))
     assert mats == [
         BitMatrix.of([[1, 0], [0, 1]]),
         BitMatrix.of([[1, 1], [1, 0]]),
@@ -98,28 +176,28 @@ def test_dense01_tolerates_extra_blank_lines():
 
 def test_dense01_rejects_bad_characters():
     with pytest.raises(FormatError) as exc:
-        parse_dense01("10\n0x\n")
+        list(parse_dense01(io.StringIO("10\n0x\n")))
     assert exc.value.line == 2
 
 
 def test_dense01_rejects_non_square():
     with pytest.raises(FormatError):
-        parse_dense01("101\n010\n")
+        list(parse_dense01(io.StringIO("101\n010\n")))
 
 
 def test_densepm_round_trip(m7_matrices):
     mats = [pm_from_zo(decode_matrix(pm)) for pm in m7_matrices[:3]]
     out = io.StringIO()
     write_densepm(out, mats)
-    assert parse_densepm(out.getvalue()) == mats
+    assert list(parse_densepm(io.StringIO(out.getvalue()))) == mats
 
 
 def test_densepm_parses_signs():
-    h = parse_densepm("++\n+-\n")
+    h = list(parse_densepm(io.StringIO("++\n+-\n")))
     assert h == [SignMatrix.of([[1, 1], [1, -1]])]
 
 
 def test_densepm_rejects_digits():
     with pytest.raises(FormatError) as exc:
-        parse_densepm("++\n+1\n")
+        list(parse_densepm(io.StringIO("++\n+1\n")))
     assert exc.value.line == 2

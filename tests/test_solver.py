@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -147,3 +148,20 @@ def test_last_row_is_forced_without_reduction(monkeypatch):
     matrices = list(iter_matrices(GenConfig(validate_order(7))))
     assert len(matrices) == 30
     assert depths and 7 not in depths
+
+
+def _garbage_after_m7_search(limit):
+    """Objects the cyclic collector finds after a search run with gc off."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in iter_matrices(GenConfig(validate_order(7), limit=limit)):
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_search_leaves_no_garbage_per_system():
+    # reference cycles would grow with the number of systems solved
+    assert _garbage_after_m7_search(None) <= _garbage_after_m7_search(1)

@@ -17,6 +17,7 @@ import argparse
 import time
 
 from hadamard01 import GenConfig, iter_matrices, validate_order
+from hadamard01.cli import _positive_seconds
 
 FULL_ORDERS = (3, 7, 11)
 BUDGET_ORDERS = (15, 19, 23)
@@ -36,13 +37,13 @@ def run_order(m: int, budget: float | None) -> tuple[int, float, bool]:
     return count, elapsed, done
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--budget", type=float, default=30.0,
-        help="seconds per partial-order run (default 30)",
+        "--budget", type=_positive_seconds, default=30.0,
+        help="seconds per partial-order run, finite and positive (default 30)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"{'m':>4} {'matrices':>10} {'seconds':>9} {'rate/min':>10}  note")
     for m in FULL_ORDERS:
@@ -52,7 +53,7 @@ def main() -> None:
     for m in BUDGET_ORDERS:
         count, elapsed, done = run_order(m, args.budget)
         rate = round(count * 60 / elapsed) if elapsed else 0
-        note = "complete" if done else f"cut at {args.budget:.0f}s"
+        note = "complete" if done else f"cut at {args.budget:g}s"
         print(f"{m:>4} {count:>10} {elapsed:>9.2f} {rate:>10}  {note}")
 
 

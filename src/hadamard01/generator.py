@@ -17,7 +17,7 @@ from typing import Iterator
 from . import gram
 from .core import InternalInvariantViolation, SearchParams
 from .partition import GroupList, PartitionMatrix, decode_matrix
-from .solver import build_system, enumerate_solutions
+from .solver import RowSystem, build_system, enumerate_solutions
 
 log = logging.getLogger(__name__)
 
@@ -103,23 +103,24 @@ def iter_matrices(
     rows: list[GroupList] = [row1, row2]
     emitted = 0
 
-    def extend(i: int) -> Iterator[PartitionMatrix]:
+    def extend(i: int, prev: RowSystem | None) -> Iterator[PartitionMatrix]:
+        # prev is the system that produced rows[-1], so row i can extend it
         if progress:
             log.info("i=%d", i)
         if deadline is not None and time.monotonic() >= deadline:
             return
-        system = build_system(rows[-1], i, params)
+        system = build_system(rows[-1], i, params, prev)
         for k in enumerate_solutions(system):
             rows.append(child_row(rows[-1], k))
             if i == m:
                 yield PartitionMatrix(m, tuple(rows))
             else:
-                yield from extend(i + 1)
+                yield from extend(i + 1, system)
             rows.pop()
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
-    for pm in extend(3):
+    for pm in extend(3, None):
         if verify and not gram.is_hadamard_zo(decode_matrix(pm)):
             raise InternalInvariantViolation(
                 f"generated matrix {emitted + 1} failed verification"

@@ -15,16 +15,16 @@ from .core import BitMatrix, InvalidOrder, NotHadamard, NotNormalized, SignMatri
 def verify_sign_hadamard(h: SignMatrix) -> bool:
     """True iff the rows of h are pairwise orthogonal with |row|^2 = n.
 
-    Row orthogonality alone is checked; the column condition follows for
-    square matrices and is deliberately not re-tested here.
+    |row|^2 = n holds for any row of signs.  Each row packs into a mask of
+    its -1 positions; two rows are orthogonal iff they differ in exactly n/2
+    places.  The column condition follows for square matrices and is
+    deliberately not re-tested here.
     """
     n = h.n
-    for i in range(n):
-        for j in range(i, n):
-            s = sum(h.rows[i][k] * h.rows[j][k] for k in range(n))
-            if s != (n if i == j else 0):
-                return False
-    return True
+    masks = [sum(1 << k for k, e in enumerate(row) if e < 0) for row in h.rows]
+    return all(
+        2 * (u ^ v).bit_count() == n for i, u in enumerate(masks) for v in masks[i + 1:]
+    )
 
 
 def normalize(h: SignMatrix) -> SignMatrix:

@@ -13,13 +13,18 @@ assignments are scanned in odometer order from all-zeros with the first
 free variable varying fastest; assignments whose dependent values are
 fractional or out of bounds are skipped.
 
+Once row i-1 splits no group, row i keeps its variables and its system is
+the parent's plus one equation, the row just chosen; its echelon form extends
+the parent's by that equation.  That form is unique, so nothing else changes.
+
 The last row (i = m) is forced: once rows 1..m-1 meet the Gram test, every
 column ends at weight 2q, so a group of weight w_s takes count_s * (2q - w_s).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Iterator
 
@@ -33,92 +38,98 @@ class RowSystem:
 
     Each equation is (variable index subset, rhs); coefficients are
     implicitly 1.  ``bounds[s]`` is the parent group count, the box upper
-    bound for k_s.
+    bound for k_s.  ``prev``, set when the system is that parent system
+    plus ``equations[1]``, takes no part in equality.
     """
 
     i: int
     bounds: tuple[int, ...]
     equations: tuple[tuple[tuple[int, ...], int], ...]
+    prev: RowSystem | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def echelon(self) -> tuple[tuple[int, list[int]], ...] | None:
+        """Reduced echelon form (see _add_equation), None if inconsistent:
+        prev's form plus one equation, or every equation added to ()."""
+        form = () if self.prev is None else self.prev.echelon
+        new = self.equations if self.prev is None else self.equations[1:2]
+        for support, rhs in new:
+            form = None if form is None else _add_equation(form, support, rhs, len(self.bounds))
+        return form
 
 
-def build_system(parent: GroupList, i: int, params: SearchParams) -> RowSystem:
+def build_system(
+    parent: GroupList, i: int, params: SearchParams, prev: RowSystem | None = None
+) -> RowSystem:
     """Set up the equations for row i given row i-1's group list.
 
     One weight equation over all variables (rhs 2q), then one overlap
     equation per earlier row j = i-1 .. 1 (rhs q) over the groups whose
     label has bit (i-1-j) clear, i.e. whose columns carry a 1 in row j.
+
+    ``prev`` is the system that produced ``parent``.  If their variable
+    counts agree, row i-1 split no group: bounds and earlier supports carry
+    over, only the row i-1 equation is new, and the result is the same.
     """
     labels = [label for label, _ in parent.groups]
-    bounds = tuple(count for _, count in parent.groups)
-    equations: list[tuple[tuple[int, ...], int]] = [
-        (tuple(range(len(labels))), params.b)
-    ]
-    qq = 1
-    for _ in range(i - 1, 0, -1):
-        support = tuple(s for s, label in enumerate(labels) if (label // qq) % 2 == 0)
-        equations.append((support, params.q))
-        qq *= 2
-    return RowSystem(i=i, bounds=bounds, equations=tuple(equations))
+
+    def overlap(qq: int) -> tuple[tuple[int, ...], int]:
+        return tuple(s for s, label in enumerate(labels) if (label // qq) % 2 == 0), params.q
+
+    if prev is not None and len(labels) == len(prev.bounds):
+        eqs = prev.equations
+        return RowSystem(i, prev.bounds, eqs[:1] + (overlap(1),) + eqs[1:], prev)
+    equations = [(tuple(range(len(labels))), params.b)]
+    equations += [overlap(2**t) for t in range(i - 1)]
+    return RowSystem(i, tuple(count for _, count in parent.groups), tuple(equations))
+
+
+def _combine(a: int, x: list[int], b: int, y: list[int]) -> list[int]:
+    """a*x - b*y, divided by the gcd of its entries."""
+    new = [a * u - b * v for u, v in zip(x, y)]
+    g = gcd(*new)
+    return [e // g for e in new] if g > 1 else new
+
+
+def _add_equation(form, support: tuple[int, ...], rhs: int, nv: int):
+    """Add one 0/1 equation to a fraction-free reduced echelon form, or
+    return None if it contradicts it.  ``form`` is ((pivot column, row),
+    ...) by pivot column; each row is nv coefficients and the rhs, primitive,
+    with a positive pivot and 0 in every other pivot column: the unique
+    reduced echelon form over the rationals, scaled.  Rows stay unchanged.
+    """
+    e = [0] * nv + [rhs]
+    for c in support:
+        e[c] = 1
+    for pc, row in form:
+        if e[pc]:
+            e = _combine(row[pc], e, e[pc], row)
+    pc = next((c for c in range(nv) if e[c]), None)
+    if pc is None:
+        return None if e[nv] else form
+    if e[pc] < 0:
+        e = [-v for v in e]
+    rows = [(c, _combine(e[pc], row, row[pc], e) if row[pc] else row) for c, row in form]
+    return tuple(sorted(rows + [(pc, e)]))  # pivot columns are distinct
 
 
 def _reduced_echelon(
     sys: RowSystem,
-) -> tuple[list[tuple[int, int, list[tuple[int, int]], int]], list[int]] | None:
-    """Row-reduce the system exactly, keeping integer rows throughout.
+) -> tuple[list[tuple[int, int, list[int], int]], list[int]] | None:
+    """``sys.echelon`` as (dependents, free_cols), or None if inconsistent.
 
-    Equivalent to reduced row-echelon form over the rationals with every
-    pivot row scaled to clear denominators.  Returns (dependents,
-    free_cols) or None when inconsistent.  Each dependent is
-    (pivot column, den, coeffs, value) encoding
-
-        den * k_pivot = value - sum(coeff * k_free[f] for f, coeff in coeffs)
-
-    where f indexes into free_cols and den > 0.
+    Each dependent (pivot column, den, coeffs, value) encodes
+    den * k_pivot = value - sum(coeffs[f] * k[free_cols[f]]), with den > 0.
+    With ``sys.prev`` set (its parent row split no group) the form extends
+    prev's by one equation; being unique, it is the form a rebuild gives.
     """
+    form = sys.echelon
+    if form is None:
+        return None
     nv = len(sys.bounds)
-    mat: list[list[int]] = []
-    for support, rhs in sys.equations:
-        row = [0] * (nv + 1)
-        for c in support:
-            row[c] = 1
-        row[nv] = rhs
-        mat.append(row)
-
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(nv):
-        pr = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for k in range(len(mat)):
-            f = mat[k][c]
-            if k == r or f == 0:
-                continue
-            new = [p * e - f * pe for e, pe in zip(mat[k], prow)]
-            g = gcd(*new)
-            mat[k] = [e // g for e in new] if g > 1 else new
-        pivots.append((r, c))
-        r += 1
-        if r == len(mat):
-            break
-    for k in range(r, len(mat)):
-        if mat[k][nv] != 0:
-            return None
-
-    pivot_cols = {c for _, c in pivots}
+    pivot_cols = {c for c, _ in form}
     free_cols = [c for c in range(nv) if c not in pivot_cols]
-
-    dependents = []
-    for pr, pc in pivots:
-        prow = mat[pr]
-        if prow[pc] < 0:
-            prow = [-e for e in prow]
-        coeffs = [(f, prow[c]) for f, c in enumerate(free_cols) if prow[c] != 0]
-        dependents.append((pc, prow[pc], coeffs, prow[nv]))
-    return dependents, free_cols
+    return [(pc, row[pc], [row[c] for c in free_cols], row[nv]) for pc, row in form], free_cols
 
 
 def contains(sys: RowSystem, k: tuple[int, ...]) -> bool:
@@ -133,7 +144,9 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     An infeasible system yields nothing.  The order is the documented
     odometer scan over free-variable assignments; whole odometer blocks
     that cannot contain a solution are skipped by interval arithmetic,
-    which never changes the yielded sequence.
+    which never changes the yielded sequence.  A system built from its
+    parent's (``prev`` set) reuses the parent's echelon form; the form is
+    unique, so the free variables and hence the order are a rebuild's.
 
     At the last row (i = m = sum of bounds) only the forced candidate is
     checked: exact when rows 1..m-1 meet the Gram test, as search prefixes do.
@@ -155,26 +168,21 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     bounds = sys.bounds
     nv = len(bounds)
     nfree = len(free_cols)
+    ndep = len(dependents)
 
     # For each dependent, den*k_pivot must land in [0, den*bound], so the
     # numerator value - sum(coeff*digit) must too.  pre_lo/pre_hi[d][j]
     # bound the sum over digits below level j, for pruning once the digits
     # at level j and above are fixed.
-    ndep = len(dependents)
-    coeff_matrix = [[0] * nfree for _ in range(ndep)]
-    for d, (_, _, coeffs, _) in enumerate(dependents):
-        for f, coeff in coeffs:
-            coeff_matrix[d][f] = coeff
-
-    windows = []
+    coeff_matrix = [coeffs for _, _, coeffs, _ in dependents]
+    values = [value for _, _, _, value in dependents]
+    windows = [den * bounds[pc] for pc, den, _, _ in dependents]
     pre_lo = []
     pre_hi = []
-    for d, (pc, den, _, value) in enumerate(dependents):
-        windows.append((0, den * bounds[pc]))
+    for coeffs in coeff_matrix:
         lo = [0] * (nfree + 1)
         hi = [0] * (nfree + 1)
-        for j in range(nfree):
-            coeff = coeff_matrix[d][j]
+        for j, coeff in enumerate(coeffs):
             ub = bounds[free_cols[j]]
             lo[j + 1] = lo[j] + (coeff * ub if coeff < 0 else 0)
             hi[j + 1] = hi[j] + (coeff * ub if coeff > 0 else 0)
@@ -190,13 +198,9 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
             k = [0] * nv
             for f, c in enumerate(free_cols):
                 k[c] = digits[f]
-            for d in range(ndep):
-                pc, den, _, value = dependents[d]
-                num = value - sums[d]
-                if num % den != 0:
-                    return
-                v = num // den
-                if v < 0 or v > bounds[pc]:
+            for (pc, den, _, value), s in zip(dependents, sums):
+                v, r = divmod(value - s, den)
+                if r or v < 0 or v > bounds[pc]:
                     return
                 k[pc] = v
             yield tuple(k)
@@ -208,16 +212,11 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
             new_sums = tuple(
                 sums[d] + coeff_matrix[d][level] * v for d in range(ndep)
             )
-            ok = True
             for d in range(ndep):
-                value = dependents[d][3]
-                w_lo, w_hi = windows[d]
-                num_hi = value - new_sums[d] - pre_lo[d][level]
-                num_lo = value - new_sums[d] - pre_hi[d][level]
-                if num_hi < w_lo or num_lo > w_hi:
-                    ok = False
+                num = values[d] - new_sums[d]
+                if num < pre_lo[d][level] or num - pre_hi[d][level] > windows[d]:
                     break
-            if ok:
+            else:
                 yield from scan(level, new_sums)
         digits[level] = 0
 

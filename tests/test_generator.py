@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hadamard01 import (
@@ -11,6 +13,7 @@ from hadamard01 import (
     iter_matrices,
     validate_order,
 )
+from hadamard01.cli import main as cli_main
 from hadamard01.generator import child_row
 
 
@@ -146,4 +149,14 @@ def test_expired_deadline_yields_nothing():
             )
         )
         == []
+    )
+
+
+def test_m15_stream_prefix_is_pinned(tmp_path):
+    # order pin for the first 1000 m=15 matrices, where the solver most
+    # often extends a parent system instead of rebuilding it
+    out = tmp_path / "m15.gl"
+    assert cli_main(["generate", "-m", "15", "--limit", "1000", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7a0374d019124ce2609cd9c5db15351efa770cef43ac2a7e7278291d32c7e53a"
     )

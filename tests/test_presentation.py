@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hadamard01 import (
     NotHadamard,
     NotNormalized,
     SignMatrix,
+    dot,
     is_hadamard_zo,
     normalize,
     pm_from_zo,
@@ -171,3 +173,29 @@ def test_characterizations_agree_on_generated_matrices(m7_matrices):
         t = decode_matrix(pm)
         assert is_hadamard_zo(t)
         assert verify_sign_hadamard(pm_from_zo(t))
+
+
+def orthogonal_by_definition(h: SignMatrix) -> bool:
+    n = h.n
+    return all(
+        dot(h.rows[i], h.rows[j]) == (n if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@given(sign_rows)
+def test_verify_matches_definition(rows):
+    h = SignMatrix.of(rows)
+    assert verify_sign_hadamard(h) == orthogonal_by_definition(h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_matches_definition_on_every_small_matrix(n):
+    # sides 1 and 2 hold Hadamard matrices, side 3 (odd) none
+    found = 0
+    for entries in itertools.product([1, -1], repeat=n * n):
+        h = SignMatrix.of([entries[r * n:(r + 1) * n] for r in range(n)])
+        assert verify_sign_hadamard(h) == orthogonal_by_definition(h)
+        found += verify_sign_hadamard(h)
+    assert found == {1: 2, 2: 8, 3: 0}[n]

@@ -165,3 +165,41 @@ def _garbage_after_m7_search(limit):
 def test_search_leaves_no_garbage_per_system():
     # reference cycles would grow with the number of systems solved
     assert _garbage_after_m7_search(None) <= _garbage_after_m7_search(1)
+
+
+def _search_with_prev(m, max_depth=None, matrices=None):
+    """Yield (parent row, i, system built from its parent system) at every
+    node the search visits, in search order, down to ``max_depth`` and up
+    to the ``matrices``-th complete matrix."""
+    params = validate_order(m)
+    emitted = 0
+
+    def extend(rows, i, prev):
+        nonlocal emitted
+        system = build_system(rows[-1], i, params, prev)
+        yield rows[-1], i, system
+        for k in enumerate_solutions(system):
+            if matrices is not None and emitted >= matrices:
+                return
+            if i == m:
+                emitted += 1
+            elif max_depth is None or i < max_depth:
+                yield from extend(rows + [child_row(rows[-1], k)], i + 1, system)
+
+    yield from extend(list(initial_rows(params)), 3, None)
+
+
+@pytest.mark.parametrize(
+    "m,max_depth,matrices",
+    [(7, None, None), (11, 8, None), (15, None, 300)],
+)
+def test_reused_system_equals_rebuilt_system(m, max_depth, matrices):
+    params = validate_order(m)
+    nodes = reused = 0
+    for parent, i, system in _search_with_prev(m, max_depth, matrices):
+        fresh = build_system(parent, i, params)
+        assert system == fresh
+        assert list(enumerate_solutions(system)) == list(enumerate_solutions(fresh))
+        nodes += 1
+        reused += system.prev is not None
+    assert reused > 0 and nodes > reused

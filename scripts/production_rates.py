@@ -3,9 +3,11 @@
 
 Orders 3, 7, and 11 run to completion; larger orders run against a time
 budget since their searches do not finish in observable time (order 27 is
-the practical wall: long runs find nothing).  With the fixed deterministic
-branch order, orders 19 and 23 spend minutes in dead subtrees before their
-first output, so a zero count within a short budget is expected there.
+the practical wall: long runs find nothing).  The ``first s`` column is
+the time to the first matrix.  With the fixed deterministic branch order,
+one run on a shared two-core machine found the first order-19 matrix
+after 74.4 s and 1562066 matrices by 240 s, and order 23 found none
+in 60 s, so a zero count within a one-minute budget is expected at both.
 Rates are hardware-bound, printed for comparison only.
 
 Usage: python scripts/production_rates.py [--budget SECONDS]
@@ -23,18 +25,22 @@ FULL_ORDERS = (3, 7, 11)
 BUDGET_ORDERS = (15, 19, 23)
 
 
-def run_order(m: int, budget: float | None) -> tuple[int, float, bool]:
+def run_order(m: int, budget: float | None) -> tuple[int, float, float | None, bool]:
+    """(matrices, seconds, seconds to the first matrix or None, complete)."""
     params = validate_order(m)
     deadline = None if budget is None else time.monotonic() + budget
     start = time.monotonic()
+    first = None
     count = 0
     done = True
     for _ in iter_matrices(GenConfig(params, verify_each=False), deadline=deadline):
+        if first is None:
+            first = time.monotonic() - start
         count += 1
     elapsed = time.monotonic() - start
     if deadline is not None and time.monotonic() >= deadline:
         done = False
-    return count, elapsed, done
+    return count, elapsed, first, done
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -45,16 +51,14 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
 
-    print(f"{'m':>4} {'matrices':>10} {'seconds':>9} {'rate/min':>10}  note")
-    for m in FULL_ORDERS:
-        count, elapsed, done = run_order(m, None)
+    print(f"{'m':>4} {'matrices':>10} {'seconds':>9} {'first s':>9} {'rate/min':>10}  note")
+    for m in FULL_ORDERS + BUDGET_ORDERS:
+        budget = None if m in FULL_ORDERS else args.budget
+        count, elapsed, first, done = run_order(m, budget)
         rate = round(count * 60 / elapsed) if elapsed else 0
-        print(f"{m:>4} {count:>10} {elapsed:>9.2f} {rate:>10}  complete")
-    for m in BUDGET_ORDERS:
-        count, elapsed, done = run_order(m, args.budget)
-        rate = round(count * 60 / elapsed) if elapsed else 0
-        note = "complete" if done else f"cut at {args.budget:g}s"
-        print(f"{m:>4} {count:>10} {elapsed:>9.2f} {rate:>10}  {note}")
+        first_s = "-" if first is None else f"{first:.2f}"
+        note = "complete" if done else f"cut at {budget:g}s"
+        print(f"{m:>4} {count:>10} {elapsed:>9.2f} {first_s:>9} {rate:>10}  {note}")
 
 
 if __name__ == "__main__":

@@ -38,13 +38,13 @@ _ROW = rf"\[{_PAIR}(?:,{_PAIR})*\]"
 _RECORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*):\[({_ROW}(?:,{_ROW})*)\]\$\n?")
 
 
+def _render_row(g: GroupList) -> str:
+    return "[" + ",".join(f"[{label},{count}]" for label, count in g.groups) + "]"
+
+
 def render_grouplist(pm: PartitionMatrix) -> str:
     """The compact nested-list body of a record, no whitespace."""
-    rows = ",".join(
-        "[" + ",".join(f"[{label},{count}]" for label, count in g.groups) + "]"
-        for g in pm.rows
-    )
-    return f"[{rows}]"
+    return "[" + ",".join(map(_render_row, pm.rows)) + "]"
 
 
 def grouplist_record(pm: PartitionMatrix, index: int) -> str:
@@ -53,10 +53,23 @@ def grouplist_record(pm: PartitionMatrix, index: int) -> str:
 
 
 def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
+    """Write canonical record lines.  Successive matrices of a depth-first
+    search share the row objects of their common prefix, so the rows of
+    the last record that are the same objects keep their text and only
+    the rows after them are rendered."""
     count = 0
+    last: list[GroupList] = []  # the rows of the last record written
+    texts: list[str] = []  # and their text
     for pm in matrices:
         count += 1
-        out.write(grouplist_record(pm, count) + "\n")
+        rows = pm.rows
+        d = 0
+        while d < len(last) and d < len(rows) and rows[d] is last[d]:
+            d += 1
+        del last[d:], texts[d:]
+        last += rows[d:]
+        texts += map(_render_row, rows[d:])
+        out.write(f"HM_{pm.m}_{count}:[{','.join(texts)}]$\n")
     return count
 
 

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import gram
 from .core import InternalInvariantViolation, SearchParams
-from .partition import GroupList, PartitionMatrix, decode_matrix
+from .gram import is_hadamard_masks
+from .partition import GroupList, PartitionMatrix, row_masks
 from .solver import RowSystem, build_system, enumerate_solutions
 
 log = logging.getLogger(__name__)
@@ -87,8 +87,8 @@ def iter_matrices(
     """Stream complete matrices in depth-first order.
 
     Deterministic: row candidates follow the solver's enumeration order at
-    every depth.  With verify_each on, every matrix is decoded and checked
-    before being yielded; a failure aborts with InternalInvariantViolation.
+    every depth.  With verify_each on, every matrix is checked from its row
+    masks before being yielded; a failure aborts with InternalInvariantViolation.
 
     ``deadline`` is a time.monotonic() timestamp; the search checks it at
     every extension step and stops cleanly once past it, so wall-clock
@@ -121,7 +121,7 @@ def iter_matrices(
                 return
 
     for pm in extend(3, None):
-        if verify and not gram.is_hadamard_zo(decode_matrix(pm)):
+        if verify and not is_hadamard_masks(m, row_masks(pm)):
             raise InternalInvariantViolation(
                 f"generated matrix {emitted + 1} failed verification"
             )

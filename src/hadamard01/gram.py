@@ -25,16 +25,21 @@ def gram_cols(t: BitMatrix) -> tuple[tuple[int, ...], ...]:
 def is_hadamard_zo(t: BitMatrix) -> bool:
     """True iff t is a Hadamard matrix in {0,1} form.
 
-    Checks rows only: m = 3 mod 4 (side 1 therefore returns False) and the
-    row Gram matrix is 2q on the diagonal and q off it, q = (m+1)/4.  Rows
-    are packed into int masks so the pairwise products are popcounts.
+    Checks rows only, packed into int masks: see is_hadamard_masks.
     """
-    m = t.m
-    if m < 3 or m % 4 != 3:
+    return is_hadamard_masks(t.m, [pack_row(row) for row in t.rows])
+
+
+def is_hadamard_masks(m: int, masks: list[int]) -> bool:
+    """True iff ``masks``, m rows of m columns as int masks, form a Hadamard
+    matrix in {0,1} form: m = 3 mod 4 (side 1 therefore returns False) and
+    the row Gram matrix is 2q on the diagonal and q off it, q = (m+1)/4.
+    The pairwise products are popcounts.
+    """
+    if m < 3 or m % 4 != 3 or len(masks) != m:
         return False
     a = (m + 1) // 4
     b = 2 * a
-    masks = [pack_row(row) for row in t.rows]
     for i, u in enumerate(masks):
         if u.bit_count() != b:
             return False

@@ -95,6 +95,21 @@ def decode_matrix(p: PartitionMatrix) -> BitMatrix:
     return BitMatrix(tuple(decode_row(g) for g in p.rows))
 
 
+def row_masks(p: PartitionMatrix) -> list[int]:
+    """Every row as an int mask, straight from its runs: the masks
+    ``core.pack_row`` gives for the decoded rows (leftmost column most
+    significant), without building the bits."""
+    masks = []
+    for g in p.rows:
+        mask = 0
+        for label, count in g.groups:
+            mask <<= count
+            if not label & 1:
+                mask |= (1 << count) - 1
+        masks.append(mask)
+    return masks
+
+
 def canonicalize(t: BitMatrix) -> BitMatrix:
     """Reorder columns into the canonical ones-first layout.
 

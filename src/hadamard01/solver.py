@@ -6,16 +6,23 @@ with 0/1 coefficients: the k_s sum to the row weight 2q, and for every
 earlier row j the k_s of the groups carrying a 1 in row j sum to the
 overlap q.
 
-enumerate_solutions yields every bounded integer solution exactly once, in
-a deterministic order: the system is reduced to row-echelon form over the
-rationals, free variables are ordered by variable index, and their
-assignments are scanned in odometer order from all-zeros with the first
-free variable varying fastest; assignments whose dependent values are
-fractional or out of bounds are skipped.
+A system's bounded integer solutions are computed once, as the tuple
+``RowSystem.solutions``, in a deterministic order: the system is reduced
+to row-echelon form over the rationals, free variables are ordered by
+variable index, and their assignments are scanned in odometer order from
+all-zeros with the first free variable varying fastest; assignments whose
+dependent values are fractional or out of bounds are skipped.
 
 Once row i-1 splits no group, row i keeps its variables and its system is
-the parent's plus one equation, the row just chosen; its echelon form extends
-the parent's by that equation.  That form is unique, so nothing else changes.
+its parent's, ``prev``, plus one equation, the row just chosen.  Its
+solutions are prev's solutions k with sum_{s in support} k_s = q, and
+filtering prev's list keeps the scan's order, so it is never reduced.
+Reduced against prev's form, the new equation is nonzero only in prev's
+free columns, and the lowest of them, p, becomes its pivot: k_p is fixed
+by the free columns above p, which the odometer treats as more
+significant.  Two child solutions that the two scans ordered differently
+would first differ, from the top free column down, at p, yet agree above
+p and hence on k_p.
 
 The last row (i = m) is forced: once rows 1..m-1 meet the Gram test, every
 column ends at weight 2q, so a group of weight w_s takes count_s * (2q - w_s).
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterator
 
@@ -48,14 +56,24 @@ class RowSystem:
     prev: RowSystem | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def echelon(self) -> tuple[tuple[int, list[int]], ...] | None:
-        """Reduced echelon form (see _add_equation), None if inconsistent:
-        prev's form plus one equation, or every equation added to ()."""
-        form = () if self.prev is None else self.prev.echelon
-        new = self.equations if self.prev is None else self.equations[1:2]
-        for support, rhs in new:
-            form = None if form is None else _add_equation(form, support, rhs, len(self.bounds))
-        return form
+    def solutions(self) -> tuple[tuple[int, ...], ...]:
+        """Every bounded solution, in the order of the module docstring:
+        the forced last row, prev's list filtered, or the odometer scan."""
+        if self.i == sum(self.bounds):
+            # forced: k_s = count_s * (2q - w_s), w_s the overlap equations
+            # holding s; a 2q - w_s other than 0 or 1 fails the bounds
+            per_col = [self.equations[0][1]] * len(self.bounds)
+            for support, _ in self.equations[1:]:
+                for s in support:
+                    per_col[s] -= 1
+            k = tuple(map(int.__mul__, self.bounds, per_col))
+            return (k,) if contains(self, k) else ()
+        if self.prev is not None:
+            support, rhs = self.equations[1]
+            return tuple(
+                k for k in self.prev.solutions if sum(map(k.__getitem__, support)) == rhs
+            )
+        return _scan(self)
 
 
 def build_system(
@@ -116,17 +134,18 @@ def _add_equation(form, support: tuple[int, ...], rhs: int, nv: int):
 def _reduced_echelon(
     sys: RowSystem,
 ) -> tuple[list[tuple[int, int, list[int], int]], list[int]] | None:
-    """``sys.echelon`` as (dependents, free_cols), or None if inconsistent.
+    """The echelon form of sys (every equation folded in by _add_equation)
+    as (dependents, free_cols), or None if inconsistent.
 
     Each dependent (pivot column, den, coeffs, value) encodes
     den * k_pivot = value - sum(coeffs[f] * k[free_cols[f]]), with den > 0.
-    With ``sys.prev`` set (its parent row split no group) the form extends
-    prev's by one equation; being unique, it is the form a rebuild gives.
     """
-    form = sys.echelon
-    if form is None:
-        return None
     nv = len(sys.bounds)
+    form = ()
+    for support, rhs in sys.equations:
+        form = _add_equation(form, support, rhs, nv)
+        if form is None:
+            return None
     pivot_cols = {c for c, _ in form}
     free_cols = [c for c in range(nv) if c not in pivot_cols]
     return [(pc, row[pc], [row[c] for c in free_cols], row[nv]) for pc, row in form], free_cols
@@ -135,39 +154,31 @@ def _reduced_echelon(
 def contains(sys: RowSystem, k: tuple[int, ...]) -> bool:
     """Whether k is a bounded solution of sys, by direct substitution."""
     return all(0 <= v <= u for v, u in zip(k, sys.bounds)) and all(
-        sum(k[s] for s in support) == rhs for support, rhs in sys.equations)
+        sum(map(k.__getitem__, support)) == rhs for support, rhs in sys.equations)
 
 
 def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
-    """Yield every bounded nonnegative integer solution exactly once.
+    """Yield every bounded nonnegative integer solution exactly once, in
+    the odometer order of the module docstring; nothing if infeasible.
 
-    An infeasible system yields nothing.  The order is the documented
-    odometer scan over free-variable assignments; whole odometer blocks
-    that cannot contain a solution are skipped by interval arithmetic,
-    which never changes the yielded sequence.  A system built from its
-    parent's (``prev`` set) reuses the parent's echelon form; the form is
-    unique, so the free variables and hence the order are a rebuild's.
-
-    At the last row (i = m = sum of bounds) only the forced candidate is
-    checked: exact when rows 1..m-1 meet the Gram test, as search prefixes do.
+    The list is ``sys.solutions``, computed whole on the first ``next()``:
+    prev's list filtered by the new equation when ``prev`` is set (below
+    the last row), else the odometer scan.  At the last row (i = m = sum of
+    bounds) only the forced candidate is checked: exact when rows 1..m-1
+    meet the Gram test, as search prefixes do.
     """
-    if sys.i == sum(sys.bounds):
-        two_q = sys.equations[0][1]
-        weight = [0] * len(sys.bounds)  # w_s: overlap equations holding s
-        for support, _ in sys.equations[1:]:
-            for s in support:
-                weight[s] += 1
-        k = tuple(c * (two_q - w) for c, w in zip(sys.bounds, weight))
-        if contains(sys, k):  # 2q - w_s not 0 or 1 fails the bounds
-            yield k
-        return
+    yield from sys.solutions
+
+
+def _scan(sys: RowSystem) -> tuple[tuple[int, ...], ...]:
+    """The odometer scan over free-variable assignments; whole odometer
+    blocks that cannot contain a solution are skipped by interval
+    arithmetic, which never changes the result."""
     reduced = _reduced_echelon(sys)
     if reduced is None:
-        return
+        return ()
     dependents, free_cols = reduced
     bounds = sys.bounds
-    nv = len(bounds)
-    nfree = len(free_cols)
     ndep = len(dependents)
 
     # For each dependent, den*k_pivot must land in [0, den*bound], so the
@@ -177,50 +188,36 @@ def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     coeff_matrix = [coeffs for _, _, coeffs, _ in dependents]
     values = [value for _, _, _, value in dependents]
     windows = [den * bounds[pc] for pc, den, _, _ in dependents]
-    pre_lo = []
-    pre_hi = []
-    for coeffs in coeff_matrix:
-        lo = [0] * (nfree + 1)
-        hi = [0] * (nfree + 1)
-        for j, coeff in enumerate(coeffs):
-            ub = bounds[free_cols[j]]
-            lo[j + 1] = lo[j] + (coeff * ub if coeff < 0 else 0)
-            hi[j + 1] = hi[j] + (coeff * ub if coeff > 0 else 0)
-        pre_lo.append(lo)
-        pre_hi.append(hi)
+    free_bounds = [bounds[c] for c in free_cols]
+    pre_lo = [list(accumulate((min(a, 0) * u for a, u in zip(coeffs, free_bounds)), initial=0))
+              for coeffs in coeff_matrix]
+    pre_hi = [list(accumulate((max(a, 0) * u for a, u in zip(coeffs, free_bounds)), initial=0))
+              for coeffs in coeff_matrix]
 
-    digits = [0] * nfree
+    k = [0] * len(bounds)
+    found: list[tuple[int, ...]] = []
 
-    def scan(j: int, sums: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # digits at levels >= j are fixed with coefficient sums per
-        # dependent in ``sums``; level 0 varies fastest
+    def scan(j: int, sums: tuple[int, ...]) -> None:
+        # the free variables at levels >= j are set in k, with coefficient
+        # sums per dependent in ``sums``; level 0 varies fastest
         if j == 0:
-            k = [0] * nv
-            for f, c in enumerate(free_cols):
-                k[c] = digits[f]
             for (pc, den, _, value), s in zip(dependents, sums):
                 v, r = divmod(value - s, den)
                 if r or v < 0 or v > bounds[pc]:
                     return
                 k[pc] = v
-            yield tuple(k)
+            found.append(tuple(k))
             return
         level = j - 1
-        ub = bounds[free_cols[level]]
-        for v in range(ub + 1):
-            digits[level] = v
-            new_sums = tuple(
-                sums[d] + coeff_matrix[d][level] * v for d in range(ndep)
-            )
-            for d in range(ndep):
-                num = values[d] - new_sums[d]
-                if num < pre_lo[d][level] or num - pre_hi[d][level] > windows[d]:
-                    break
-            else:
-                yield from scan(level, new_sums)
-        digits[level] = 0
+        for v in range(free_bounds[level] + 1):
+            k[free_cols[level]] = v
+            new_sums = tuple(s + coeffs[level] * v for s, coeffs in zip(sums, coeff_matrix))
+            if all(pre_lo[d][level] <= values[d] - new_sums[d] <= windows[d] + pre_hi[d][level]
+                   for d in range(ndep)):
+                scan(level, new_sums)
 
     try:
-        yield from scan(nfree, (0,) * ndep)
+        scan(len(free_cols), (0,) * ndep)
     finally:
         del scan  # scan refers to itself; free it without the cyclic GC
+    return tuple(found)

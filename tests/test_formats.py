@@ -45,6 +45,19 @@ def test_grouplist_round_trip(m7_matrices):
     assert tuple(pm for _, pm in parsed) == m7_matrices
 
 
+def test_writer_reuses_row_text_only_for_the_same_objects(m7_matrices, known15):
+    # search output shares prefix rows, a repeat shares every row, and
+    # parsed copies and other orders share none
+    m3 = next(iter_matrices(GenConfig(validate_order(3))))
+    copies = [pm for _, pm in parse_grouplist(io.StringIO(grouplist_record(m7_matrices[1], 1)))]
+    stream = [*m7_matrices, m7_matrices[-1], *copies, m3, encode_matrix(known15), m3]
+    out = io.StringIO()
+    assert write_grouplist(out, stream) == len(stream)
+    assert out.getvalue() == "".join(
+        grouplist_record(pm, k) + "\n" for k, pm in enumerate(stream, 1)
+    )
+
+
 def test_parser_accepts_wrapped_listing(known15):
     records = list(parse_grouplist(io.StringIO(KNOWN_15_LISTING)))
     assert len(records) == 1

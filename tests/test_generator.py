@@ -107,9 +107,9 @@ def test_verify_policy_defaults():
 
 
 def test_verification_failure_aborts(monkeypatch):
-    import hadamard01.gram as gram_module
+    import hadamard01.generator as generator_module
 
-    monkeypatch.setattr(gram_module, "is_hadamard_zo", lambda t: False)
+    monkeypatch.setattr(generator_module, "is_hadamard_masks", lambda m, masks: False)
     with pytest.raises(InternalInvariantViolation):
         list(iter_matrices(GenConfig(validate_order(7), verify_each=True)))
 
@@ -137,6 +137,16 @@ def test_deadline_stops_search_promptly():
     # whatever was emitted before the cut is a valid prefix
     for pm in mats:
         assert is_hadamard_zo(decode_matrix(pm))
+
+
+def test_deadline_holds_at_order_23():
+    # a whole solution list is one step between deadline checks
+    import time
+
+    start = time.monotonic()
+    for _ in iter_matrices(GenConfig(validate_order(23)), deadline=start + 1.0):
+        pass
+    assert time.monotonic() - start < 5.0
 
 
 def test_expired_deadline_yields_nothing():

@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hadamard01 import BitMatrix, gram_cols, gram_rows, is_hadamard_zo
+from hadamard01 import (
+    BitMatrix,
+    canonicalize,
+    decode_matrix,
+    encode_matrix,
+    gram_cols,
+    gram_rows,
+    is_hadamard_zo,
+)
+from hadamard01.core import pack_row
+from hadamard01.gram import is_hadamard_masks
+from hadamard01.partition import row_masks
 
 ZO3 = BitMatrix.of([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -125,3 +136,37 @@ def test_row_column_duality_on_generated_matrices(m7_matrices):
         t = decode_matrix(pm)
         assert gram_rows(t) == target
         assert gram_cols(t) == target
+
+
+def assert_mask_check_matches_decoded(pm):
+    t = decode_matrix(pm)
+    masks = row_masks(pm)
+    assert masks == [pack_row(row) for row in t.rows]
+    assert is_hadamard_masks(pm.m, masks) == is_hadamard_zo(t)
+
+
+def test_mask_check_matches_decoded_check_on_generated_matrices(m7_matrices, known15):
+    for pm in m7_matrices:
+        assert_mask_check_matches_decoded(pm)
+        assert is_hadamard_masks(7, row_masks(pm))
+    assert_mask_check_matches_decoded(encode_matrix(known15))
+
+
+@given(
+    st.sampled_from([3, 7, 11]).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+def test_mask_check_matches_decoded_check_on_random_matrices(rows):
+    # almost every draw is non-Hadamard, so the False verdicts get checked
+    assert_mask_check_matches_decoded(encode_matrix(canonicalize(BitMatrix.of(rows))))
+
+
+def test_mask_check_wants_m_rows():
+    assert is_hadamard_masks(3, [0b110, 0b101, 0b011])
+    assert not is_hadamard_masks(3, [0b110, 0b101])
+    assert not is_hadamard_masks(1, [0b1])

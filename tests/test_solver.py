@@ -5,6 +5,7 @@ import pytest
 
 from hadamard01 import GenConfig, GroupList, dot, iter_matrices, validate_order
 from hadamard01 import solver
+from hadamard01.cli import main as cli_main
 from hadamard01.generator import child_row, initial_rows
 from hadamard01.partition import decode_row
 from hadamard01.solver import (
@@ -148,6 +149,24 @@ def test_last_row_is_forced_without_reduction(monkeypatch):
     matrices = list(iter_matrices(GenConfig(validate_order(7))))
     assert len(matrices) == 30
     assert depths and 7 not in depths
+
+
+@pytest.mark.parametrize("m,limit,expected", [(7, None, 3), (15, 3000, 3)])
+def test_extended_systems_are_filtered_not_reduced(monkeypatch, tmp_path, m, limit, expected):
+    # a system built from its parent's filters the parent's solution list,
+    # so only the systems after a row that split a group are reduced
+    reduced = []
+    reduce = solver._reduced_echelon
+
+    def recording(sys):
+        reduced.append(sys)
+        return reduce(sys)
+
+    monkeypatch.setattr(solver, "_reduced_echelon", recording)
+    argv = ["generate", "-m", str(m), "-o", str(tmp_path / "out.gl")]
+    assert cli_main(argv + (["--limit", str(limit)] if limit else [])) == 0
+    assert len(reduced) == expected
+    assert all(sys.prev is None for sys in reduced)
 
 
 def _garbage_after_m7_search(limit):

@@ -6,8 +6,9 @@ budget since their searches do not finish in observable time (order 27 is
 the practical wall: long runs find nothing).  The ``first s`` column is
 the time to the first matrix.  With the fixed deterministic branch order,
 one run on a shared two-core machine found the first order-19 matrix
-after 74.4 s and 1562066 matrices by 240 s, and order 23 found none
-in 60 s, so a zero count within a one-minute budget is expected at both.
+after 52.7 s and 4923150 matrices by 240 s, and order 23 found none
+in 60 s, so within the default 30 s budget a zero count is expected at
+both.
 Rates are hardware-bound, printed for comparison only.
 
 Usage: python scripts/production_rates.py [--budget SECONDS]

@@ -23,8 +23,8 @@ from typing import Iterator
 from . import formats
 from .core import BitMatrix, FormatError, HadamardError, validate_order
 from .generator import GenConfig, iter_matrices
-from .gram import is_hadamard_zo
-from .partition import decode_matrix, encode_matrix
+from .gram import is_hadamard_masks, is_hadamard_zo
+from .partition import decode_matrix, encode_matrix, row_masks
 from .presentation import (
     is_normalized,
     normalize,
@@ -200,7 +200,7 @@ def _cmd_verify(args) -> int:
 def _verify_records(lines: Iterator[str], fmt: str) -> Iterator[tuple[str, bool]]:
     if fmt == "grouplist":
         for name, pm in formats.parse_grouplist(lines):
-            yield name, is_hadamard_zo(decode_matrix(pm))
+            yield name, is_hadamard_masks(pm.m, row_masks(pm))
     elif fmt == "dense01":
         for idx, t in enumerate(formats.parse_dense01(lines), start=1):
             yield f"matrix {idx}", is_hadamard_zo(t)

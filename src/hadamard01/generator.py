@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .core import InternalInvariantViolation, SearchParams
 from .gram import is_hadamard_masks
-from .partition import GroupList, PartitionMatrix, row_masks
+from .partition import GroupList, PartitionMatrix, child_row, row_masks
 from .solver import RowSystem, build_system, enumerate_solutions
 
 log = logging.getLogger(__name__)
@@ -67,18 +67,6 @@ def initial_rows(params: SearchParams) -> tuple[GroupList, GroupList]:
         groups2.append((3, q - 1))
     row2 = GroupList(2, tuple(groups2))
     return row1, row2
-
-
-def child_row(parent: GroupList, k: tuple[int, ...]) -> GroupList:
-    """Refine ``parent`` by a solution vector: group s splits into
-    (2l_s, k_s) and (2l_s+1, count_s - k_s), zero counts omitted."""
-    groups: list[tuple[int, int]] = []
-    for (label, count), ones in zip(parent.groups, k):
-        if ones:
-            groups.append((2 * label, ones))
-        if count - ones:
-            groups.append((2 * label + 1, count - ones))
-    return GroupList(parent.depth + 1, tuple(groups))
 
 
 def iter_matrices(

@@ -48,33 +48,40 @@ def decode_row(g: GroupList) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
-    """Refine ``parent`` by one explicit bit row.
-
-    Each parent group (l, c) covers c consecutive columns; with k ones in
-    that span the children are (2l, k) and (2l+1, c-k), zero counts
-    omitted.  Raises NonCanonicalRow unless the ones in every span are
-    contiguous and first (otherwise the counts would lose positions).
-    """
+def child_row(parent: GroupList, k: tuple[int, ...]) -> GroupList:
+    """Refine ``parent`` by k_s ones per group: group s splits into
+    (2l_s, k_s) and (2l_s+1, count_s - k_s), zero counts omitted."""
     groups: list[Group] = []
+    for (label, count), ones in zip(parent.groups, k):
+        if ones:
+            groups.append((2 * label, ones))
+        if count - ones:
+            groups.append((2 * label + 1, count - ones))
+    return GroupList(parent.depth + 1, tuple(groups))
+
+
+def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
+    """Refine ``parent`` by one explicit bit row: child_row with k_s the
+    ones in the span of group s.  Raises NonCanonicalRow unless the ones
+    in every span are contiguous and first (otherwise the counts would
+    lose positions).
+    """
+    ks: list[int] = []
     pos = 0
-    for label, count in parent.groups:
+    for _, count in parent.groups:
         span = bits[pos:pos + count]
         k = sum(span)
         if not all(span[:k]):
             raise NonCanonicalRow(
                 f"ones are not contiguous-first within columns {pos}..{pos + count - 1}"
             )
-        if k > 0:
-            groups.append((2 * label, k))
-        if count - k > 0:
-            groups.append((2 * label + 1, count - k))
+        ks.append(k)
         pos += count
     if pos != len(bits):
         raise NonCanonicalRow(
             f"row length {len(bits)} does not match parent span total {pos}"
         )
-    return GroupList(parent.depth + 1, tuple(groups))
+    return child_row(parent, tuple(ks))
 
 
 def encode_matrix(t: BitMatrix) -> PartitionMatrix:

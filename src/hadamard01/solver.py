@@ -7,25 +7,18 @@ earlier row j the k_s of the groups carrying a 1 in row j sum to the
 overlap q.
 
 A system's bounded integer solutions are computed once, as the tuple
-``RowSystem.solutions``, in a deterministic order: the system is reduced
-to row-echelon form over the rationals, free variables are ordered by
-variable index, and their assignments are scanned in odometer order from
-all-zeros with the first free variable varying fastest; assignments whose
-dependent values are fractional or out of bounds are skipped.
+``RowSystem.solutions``, in colex order: compare k from the highest index
+down, ascending.  The system is reduced to row-echelon form over the
+rationals and its free variables are scanned with the lowest varying
+fastest; assignments whose dependent values are fractional or out of
+bounds are skipped.  That is colex order: a pivot's value is fixed by the
+free columns above it, so two solutions first differ, from the top, in a
+free column, and the scan steps the higher free columns more slowly.
 
 Once row i-1 splits no group, row i keeps its variables and its system is
 its parent's, ``prev``, plus one equation, the row just chosen.  Its
 solutions are prev's solutions k with sum_{s in support} k_s = q, and
-filtering prev's list keeps the scan's order, so it is never reduced.
-Reduced against prev's form, the new equation is nonzero only in prev's
-free columns, and the lowest of them, p, becomes its pivot: k_p is fixed
-by the free columns above p, which the odometer treats as more
-significant.  Two child solutions that the two scans ordered differently
-would first differ, from the top free column down, at p, yet agree above
-p and hence on k_p.
-
-The last row (i = m) is forced: once rows 1..m-1 meet the Gram test, every
-column ends at weight 2q, so a group of weight w_s takes count_s * (2q - w_s).
+a sublist of a colex-sorted list is colex-sorted, so it is never reduced.
 """
 
 from __future__ import annotations
@@ -57,17 +50,8 @@ class RowSystem:
 
     @cached_property
     def solutions(self) -> tuple[tuple[int, ...], ...]:
-        """Every bounded solution, in the order of the module docstring:
-        the forced last row, prev's list filtered, or the odometer scan."""
-        if self.i == sum(self.bounds):
-            # forced: k_s = count_s * (2q - w_s), w_s the overlap equations
-            # holding s; a 2q - w_s other than 0 or 1 fails the bounds
-            per_col = [self.equations[0][1]] * len(self.bounds)
-            for support, _ in self.equations[1:]:
-                for s in support:
-                    per_col[s] -= 1
-            k = tuple(map(int.__mul__, self.bounds, per_col))
-            return (k,) if contains(self, k) else ()
+        """Every bounded solution in colex order: prev's list filtered,
+        or the scan."""
         if self.prev is not None:
             support, rhs = self.equations[1]
             return tuple(
@@ -151,21 +135,13 @@ def _reduced_echelon(
     return [(pc, row[pc], [row[c] for c in free_cols], row[nv]) for pc, row in form], free_cols
 
 
-def contains(sys: RowSystem, k: tuple[int, ...]) -> bool:
-    """Whether k is a bounded solution of sys, by direct substitution."""
-    return all(0 <= v <= u for v, u in zip(k, sys.bounds)) and all(
-        sum(map(k.__getitem__, support)) == rhs for support, rhs in sys.equations)
-
-
 def enumerate_solutions(sys: RowSystem) -> Iterator[tuple[int, ...]]:
     """Yield every bounded nonnegative integer solution exactly once, in
-    the odometer order of the module docstring; nothing if infeasible.
+    colex order; nothing if infeasible.
 
     The list is ``sys.solutions``, computed whole on the first ``next()``:
-    prev's list filtered by the new equation when ``prev`` is set (below
-    the last row), else the odometer scan.  At the last row (i = m = sum of
-    bounds) only the forced candidate is checked: exact when rows 1..m-1
-    meet the Gram test, as search prefixes do.
+    prev's list filtered by the new equation when ``prev`` is set, else
+    the scan.
     """
     yield from sys.solutions
 

@@ -100,6 +100,15 @@ def test_verify_fails_on_broken_matrix(tmp_path, capsys):
     assert "matrix 1: FAIL" in stdout
 
 
+def test_verify_fails_on_non_hadamard_grouplist_record(tmp_path, capsys):
+    # a well-formed record whose rows are all ones
+    bad = tmp_path / "bad.gl"
+    bad.write_text("X:[[[0,3]],[[0,3]],[[0,3]]]$\n")
+    code, stdout, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    assert stdout == "X: FAIL\n"
+
+
 def test_verify_mixed_blocks(tmp_path, capsys):
     f = tmp_path / "mix.d01"
     f.write_text("110\n101\n011\n\n111\n111\n111\n")

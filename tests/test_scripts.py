@@ -1,9 +1,13 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "production_rates.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "production_rates.py"
 
 
 def load_production_rates():
@@ -22,3 +26,15 @@ def test_production_rates_rejects_bad_budget(budget, monkeypatch, capsys):
         module.main(["--budget", budget])
     assert exc.value.code == 2
     assert "finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", ["gen_m15_prefix", "io_m11"])
+def test_benchmark_runner_ends_with_a_result(workload):
+    # the runner builds its inputs in-process from the package, so an API
+    # change it depends on shows here as a crash instead of a result line
+    argv = [sys.executable, "benchmark/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "0.1", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -1,5 +1,4 @@
 import gc
-import itertools
 
 import pytest
 
@@ -8,12 +7,7 @@ from hadamard01 import solver
 from hadamard01.cli import main as cli_main
 from hadamard01.generator import child_row, initial_rows
 from hadamard01.partition import decode_row
-from hadamard01.solver import (
-    RowSystem,
-    build_system,
-    contains,
-    enumerate_solutions,
-)
+from hadamard01.solver import RowSystem, build_system, enumerate_solutions
 
 from conftest import brute_force_solutions, walk_systems
 
@@ -122,35 +116,6 @@ def test_solutions_give_valid_rows():
                 assert dot(new_row, prev) == params.q
 
 
-def test_contains_matches_brute_force_on_every_m7_system():
-    for _, sys in walk_systems(7):
-        hits = brute_force_solutions(sys)
-        for k in itertools.product(*(range(u + 1) for u in sys.bounds)):
-            assert contains(sys, k) == (k in hits)
-
-
-def test_contains_checks_bounds():
-    # (2, 0) and (-1, 3) satisfy the equation but leave the box
-    sys = RowSystem(i=3, bounds=(1, 1), equations=(((0, 1), 2),))
-    assert contains(sys, (1, 1))
-    assert not contains(sys, (2, 0))
-    assert not contains(sys, (-1, 3))
-
-
-def test_last_row_is_forced_without_reduction(monkeypatch):
-    depths = []
-    reduce = solver._reduced_echelon
-
-    def recording(sys):
-        depths.append(sys.i)
-        return reduce(sys)
-
-    monkeypatch.setattr(solver, "_reduced_echelon", recording)
-    matrices = list(iter_matrices(GenConfig(validate_order(7))))
-    assert len(matrices) == 30
-    assert depths and 7 not in depths
-
-
 @pytest.mark.parametrize("m,limit,expected", [(7, None, 3), (15, 3000, 3)])
 def test_extended_systems_are_filtered_not_reduced(monkeypatch, tmp_path, m, limit, expected):
     # a system built from its parent's filters the parent's solution list,
@@ -222,3 +187,14 @@ def test_reused_system_equals_rebuilt_system(m, max_depth, matrices):
         nodes += 1
         reused += system.prev is not None
     assert reused > 0 and nodes > reused
+
+
+@pytest.mark.parametrize("systems", [
+    lambda: (sys for _, sys in walk_systems(7)),
+    lambda: (sys for _, sys in walk_systems(11, max_depth=8)),
+    lambda: (sys for _, _, sys in _search_with_prev(15, matrices=300)),
+], ids=["walk-m7", "walk-m11-depth8", "prev-m15-300"])
+def test_solutions_are_in_colex_order(systems):
+    # colex: compare k from the highest index down, ascending
+    for sys in systems():
+        assert list(sys.solutions) == sorted(set(sys.solutions), key=lambda k: k[::-1])

@@ -24,7 +24,7 @@ from . import formats
 from .core import BitMatrix, FormatError, HadamardError, validate_order
 from .generator import GenConfig, iter_matrices
 from .gram import is_hadamard_masks, is_hadamard_zo
-from .partition import decode_matrix, encode_matrix, row_masks
+from .partition import decode_matrix, encode_matrix, row_masks, shared_prefix
 from .presentation import (
     is_normalized,
     normalize,
@@ -97,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "convert" and args.normalize and args.from_format != "densepm":
+        parser.error("argument --normalize: only applies to --from densepm")
     try:
         if args.command == "generate":
             return _cmd_generate(args)
@@ -199,8 +201,18 @@ def _cmd_verify(args) -> int:
 
 def _verify_records(lines: Iterator[str], fmt: str) -> Iterator[tuple[str, bool]]:
     if fmt == "grouplist":
+        # the parser hands on the rows a record shares with the last one as
+        # the same objects; only the rows after a prefix shared with a
+        # record that passed are masked and checked
+        last: tuple = ()
+        masks: list[int] = []
         for name, pm in formats.parse_grouplist(lines):
-            yield name, is_hadamard_masks(pm.m, row_masks(pm))
+            d = shared_prefix(pm.rows, last)
+            del masks[d:]
+            masks += row_masks(pm, d)
+            ok = is_hadamard_masks(pm.m, masks, d)
+            last = pm.rows if ok else ()
+            yield name, ok
     elif fmt == "dense01":
         for idx, t in enumerate(formats.parse_dense01(lines), start=1):
             yield f"matrix {idx}", is_hadamard_zo(t)
@@ -221,12 +233,21 @@ def _cmd_convert(args) -> int:
     with _read_input(args.input) as lines, _open_out(args.output) as out:
         bits = _read_as_bits(lines, args.from_format, args.normalize)
         if args.to_format == "grouplist":
-            formats.write_grouplist(out, (encode_matrix(t) for t in bits))
+            formats.write_grouplist(out, _encode_all(bits))
         elif args.to_format == "dense01":
             formats.write_dense01(out, bits)
         else:
             formats.write_densepm(out, (pm_from_zo(t) for t in bits))
     return 0
+
+
+def _encode_all(bits: Iterator[BitMatrix]) -> Iterator:
+    """Encode a stream of bit matrices, each from the one before it."""
+    prev = None
+    for t in bits:
+        pm = encode_matrix(t, prev)
+        prev = t, pm
+        yield pm
 
 
 def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterator[BitMatrix]:

@@ -25,6 +25,7 @@ from .core import BitMatrix, FormatError, SignMatrix
 from .partition import (
     GroupList,
     PartitionMatrix,
+    shared_prefix,
     validate_partition_matrix,
 )
 
@@ -54,20 +55,18 @@ def grouplist_record(pm: PartitionMatrix, index: int) -> str:
 
 def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
     """Write canonical record lines.  Successive matrices of a depth-first
-    search share the row objects of their common prefix, so the rows of
-    the last record that are the same objects keep their text and only
-    the rows after them are rendered."""
+    search share the row objects of their common prefix, so the leading
+    rows equal to those of the last record keep their text and only the
+    rows after them are rendered."""
     count = 0
-    last: list[GroupList] = []  # the rows of the last record written
+    last: tuple[GroupList, ...] = ()  # the rows of the last record written
     texts: list[str] = []  # and their text
     for pm in matrices:
         count += 1
         rows = pm.rows
-        d = 0
-        while d < len(last) and d < len(rows) and rows[d] is last[d]:
-            d += 1
-        del last[d:], texts[d:]
-        last += rows[d:]
+        d = shared_prefix(rows, last)
+        last = rows
+        del texts[d:]
         texts += map(_render_row, rows[d:])
         out.write(f"HM_{pm.m}_{count}:[{','.join(texts)}]$\n")
     return count
@@ -130,16 +129,31 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
     any other line goes to the tolerant tokenizer, which reads on until
     its record ends.  Raises FormatError (with line number) on malformed
     syntax and on group lists that violate the refinement invariants.
+
+    Successive canonical records share leading rows, as a depth-first
+    search writes them.  The leading rows whose text equals that of the
+    last canonical record keep that record's GroupList objects, and only
+    the rows after them are decoded and validated: a row's validity
+    depends only on its parent row and m, which the shared text fixes,
+    and the last record was validated whole (a record that fails ends
+    the stream).  Reused rows are the same objects, so consumers that
+    keep per-row work, such as the writer and the Gram check of
+    ``verify``, redo only the new rows too.
     """
     numbered = enumerate(lines, start=1)
     toks = _Tokens(numbered)  # shares the line iterator with this loop
+    last: list[str] = []  # the row texts of the last canonical record
+    rows: list[GroupList] = []  # and its rows
     for line, text in numbered:
         if match := _RECORD.fullmatch(text):
-            rows = []
-            for depth, row in enumerate(match[2][2:-2].split("]],[["), start=1):
+            texts = match[2][2:-2].split("]],[[")
+            d = shared_prefix(texts, last)
+            rows = rows[:d]
+            for depth, row in enumerate(texts[d:], start=d + 1):
                 nums = map(int, row.replace("],[", ",").split(","))
                 rows.append(GroupList(depth, tuple(zip(nums, nums))))  # (label, count)
-            yield _checked(match[1], rows, line)
+            last = texts
+            yield _checked(match[1], rows, line, d)
             continue
         toks.feed(text, line)
         while toks.buffered():
@@ -165,11 +179,13 @@ def _parse_record(toks: _Tokens) -> tuple[str, PartitionMatrix]:
     return _checked(name, rows, start_line)
 
 
-def _checked(name: str, rows: list[GroupList], line: int) -> tuple[str, PartitionMatrix]:
+def _checked(
+    name: str, rows: list[GroupList], line: int, start: int = 0
+) -> tuple[str, PartitionMatrix]:
     m = sum(count for _, count in rows[0].groups)
     pm = PartitionMatrix(m, tuple(rows))
     try:
-        validate_partition_matrix(pm)
+        validate_partition_matrix(pm, start)
     except ValueError as exc:
         raise FormatError(f"record {name}: {exc}", line=line) from exc
     return name, pm

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .core import InternalInvariantViolation, SearchParams
 from .gram import is_hadamard_masks
-from .partition import GroupList, PartitionMatrix, child_row, row_masks
+from .partition import GroupList, PartitionMatrix, child_row, row_masks, shared_prefix
 from .solver import RowSystem, build_system, enumerate_solutions
 
 log = logging.getLogger(__name__)
@@ -77,6 +77,11 @@ def iter_matrices(
     Deterministic: row candidates follow the solver's enumeration order at
     every depth.  With verify_each on, every matrix is checked from its row
     masks before being yielded; a failure aborts with InternalInvariantViolation.
+    Successive matrices share their leading row objects, so the check keeps
+    the last matrix's rows and masks and tests only the rows after the
+    shared prefix, each against all earlier rows (every pair of every
+    matrix is still covered; see gram.is_hadamard_masks).  A failure
+    aborts the stream, so no unchecked prefix is ever taken as good.
 
     ``deadline`` is a time.monotonic() timestamp; the search checks it at
     every extension step and stops cleanly once past it, so wall-clock
@@ -108,11 +113,18 @@ def iter_matrices(
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
+    last: tuple[GroupList, ...] = ()  # the rows of the last matrix checked
+    masks: list[int] = []  # and their masks
     for pm in extend(3, None):
-        if verify and not is_hadamard_masks(m, row_masks(pm)):
-            raise InternalInvariantViolation(
-                f"generated matrix {emitted + 1} failed verification"
-            )
+        if verify:
+            d = shared_prefix(pm.rows, last)
+            del masks[d:]
+            masks += row_masks(pm, d)
+            if not is_hadamard_masks(m, masks, d):
+                raise InternalInvariantViolation(
+                    f"generated matrix {emitted + 1} failed verification"
+                )
+            last = pm.rows
         yield pm
         emitted += 1
         if config.limit is not None and emitted >= config.limit:

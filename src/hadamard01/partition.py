@@ -84,11 +84,42 @@ def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
     return child_row(parent, tuple(ks))
 
 
-def encode_matrix(t: BitMatrix) -> PartitionMatrix:
-    """Encode every row of a canonical bit matrix, refining from the root."""
+def shared_prefix(rows, last) -> int:
+    """How many leading items of ``rows`` equal those of ``last``.
+
+    Successive records of a stream (and successive matrices of a
+    depth-first search) share their leading rows, so a layer that keeps
+    its per-row work for the last record redoes only the rows after this
+    prefix.  The same objects are equal without a comparison.
+    """
+    d = 0
+    for a, b in zip(rows, last):
+        if a is not b and a != b:
+            break
+        d += 1
+    return d
+
+
+def encode_matrix(
+    t: BitMatrix, prev: tuple[BitMatrix, PartitionMatrix] | None = None
+) -> PartitionMatrix:
+    """Encode every row of a canonical bit matrix, refining from the root.
+
+    ``prev`` is the previous (bit matrix, its encoding) pair of a stream:
+    row i's group list depends only on bit rows 1..i, so the leading bit
+    rows equal to prev's keep prev's group lists (the same objects, which
+    ``formats.write_grouplist`` does not render again), and only the rows
+    after them are encoded.
+    """
     parent = root_group_list(t.m)
     encoded: list[GroupList] = []
-    for i, row in enumerate(t.rows, start=1):
+    d = 0
+    if prev is not None:
+        d = shared_prefix(t.rows, prev[0].rows)
+        if d:
+            encoded += prev[1].rows[:d]
+            parent = encoded[-1]
+    for i, row in enumerate(t.rows[d:], start=d + 1):
         try:
             parent = encode_row(row, parent)
         except NonCanonicalRow as exc:
@@ -102,12 +133,12 @@ def decode_matrix(p: PartitionMatrix) -> BitMatrix:
     return BitMatrix(tuple(decode_row(g) for g in p.rows))
 
 
-def row_masks(p: PartitionMatrix) -> list[int]:
-    """Every row as an int mask, straight from its runs: the masks
-    ``core.pack_row`` gives for the decoded rows (leftmost column most
-    significant), without building the bits."""
+def row_masks(p: PartitionMatrix, start: int = 0) -> list[int]:
+    """Every row from index ``start`` on as an int mask, straight from its
+    runs: the masks ``core.pack_row`` gives for the decoded rows (leftmost
+    column most significant), without building the bits."""
     masks = []
-    for g in p.rows:
+    for g in p.rows[start:]:
         mask = 0
         for label, count in g.groups:
             mask <<= count
@@ -148,12 +179,17 @@ def validate_group_list(g: GroupList, m: int) -> None:
         raise ValueError(f"counts sum to {total}, expected {m}")
 
 
-def validate_partition_matrix(p: PartitionMatrix) -> None:
-    """Check all PartitionMatrix invariants including refinement consistency."""
+def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
+    """Check all PartitionMatrix invariants including refinement consistency.
+
+    Rows before index ``start`` are taken as checked: a row's validity
+    depends only on its parent row and m, so rows shared with a record
+    already validated at the same m need no second look.
+    """
     if len(p.rows) != p.m:
         raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")
-    parent = root_group_list(p.m)
-    for i, g in enumerate(p.rows, start=1):
+    parent = p.rows[start - 1] if start else root_group_list(p.m)
+    for i, g in enumerate(p.rows[start:], start=start + 1):
         if g.depth != i:
             raise ValueError(f"row {i} has depth {g.depth}")
         validate_group_list(g, p.m)

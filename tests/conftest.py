@@ -98,6 +98,14 @@ def m7_matrices():
     return tuple(iter_matrices(GenConfig(validate_order(7))))
 
 
+@pytest.fixture(scope="session")
+def m11_head():
+    """The first 1500 matrices of the m=11 search."""
+    from hadamard01 import GenConfig, iter_matrices
+
+    return tuple(iter_matrices(GenConfig(validate_order(11), limit=1500)))
+
+
 def brute_force_solutions(system: RowSystem) -> set[tuple[int, ...]]:
     """Nested-loop oracle: scan the whole bounded box, keep assignments
     satisfying every equation.  Exponential; test-scale systems only."""

@@ -260,6 +260,19 @@ def test_convert_densepm_requires_normal_form(tmp_path, capsys):
     assert (tmp_path / "ok.d01").read_text() == "1\n"
 
 
+@pytest.mark.parametrize("fmt", ["grouplist", "dense01"])
+def test_convert_normalize_wants_densepm_input(tmp_path, capsys, fmt):
+    src = tmp_path / "in.txt"
+    src.write_text("HM_3_1:[[[0,2],[1,1]],[[0,1],[1,1],[2,1]],[[1,1],[2,1],[4,1]]]$\n"
+                   if fmt == "grouplist" else "110\n101\n011\n")
+    out = tmp_path / "out.d01"
+    code, _, err = run(capsys, "convert", str(src), "--from", fmt, "--to",
+                       "densepm", "--normalize", "-o", str(out))
+    assert code == 2
+    assert "--normalize" in err and "densepm" in err
+    assert not out.exists()
+
+
 def test_bench_reports_rate(capsys):
     code, stdout, _ = run(capsys, "bench", "-m", "3")
     assert code == 0

@@ -109,7 +109,7 @@ def test_verify_policy_defaults():
 def test_verification_failure_aborts(monkeypatch):
     import hadamard01.generator as generator_module
 
-    monkeypatch.setattr(generator_module, "is_hadamard_masks", lambda m, masks: False)
+    monkeypatch.setattr(generator_module, "is_hadamard_masks", lambda m, masks, start: False)
     with pytest.raises(InternalInvariantViolation):
         list(iter_matrices(GenConfig(validate_order(7), verify_each=True)))
 

@@ -28,13 +28,23 @@ def test_production_rates_rejects_bad_budget(budget, monkeypatch, capsys):
     assert "finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workload", ["gen_m15_prefix", "io_m11"])
-def test_benchmark_runner_ends_with_a_result(workload):
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(workload, trace, id=workload + ("-traced" if trace == "1" else ""))
+    for trace in ("0", "1") for workload in ("gen_m15_prefix", "io_m11")
+])
+def test_benchmark_runner_ends_with_a_result(workload, trace):
     # the runner builds its inputs in-process from the package, so an API
-    # change it depends on shows here as a crash instead of a result line
+    # change it depends on shows here as a crash instead of a result line;
+    # a traced run must report every per-layer metric the benchmark lists
     argv = [sys.executable, "benchmark/run.py", "--workload", workload,
-            "--seed", "1", "--seconds", "0.1", "--trace", "0"]
+            "--seed", "1", "--seconds", "0.1", "--trace", trace]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    if trace == "1":
+        wanted = {metric["name"] for metric in BENCHMARK["per_layer"]}
+        assert wanted <= set(result["metrics"])

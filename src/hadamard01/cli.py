@@ -12,7 +12,6 @@ line-numbered error.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -85,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalize", action="store_true",
         help="normalize densepm input before converting",
     )
+    p_conv.set_defaults(usage_error=p_conv.error)  # for checks across options
 
     p_bench = sub.add_parser("bench", help="measure the matrix production rate")
     p_bench.add_argument("-m", type=int, required=True)
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "convert" and args.normalize and args.from_format != "densepm":
-        parser.error("argument --normalize: only applies to --from densepm")
+        args.usage_error("argument --normalize: only applies to --from densepm")
     try:
         if args.command == "generate":
             return _cmd_generate(args)
@@ -132,6 +132,8 @@ def _progress_to_stderr(enabled: bool):
     if not enabled:
         yield
         return
+    import logging  # only here, to keep it off the import path
+
     gen_log = logging.getLogger("hadamard01.generator")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
@@ -159,10 +161,9 @@ def _cmd_generate(args) -> int:
         if args.format == "grouplist":
             count = formats.write_grouplist(out, matrices)
         elif args.format == "dense01":
-            count = formats.write_dense01(out, map(decode_matrix, matrices))
+            count = formats.write_dense01(out, _decode_all(matrices))
         else:
-            bits = map(decode_matrix, matrices)
-            count = formats.write_densepm(out, map(pm_from_zo, bits))
+            count = formats.write_densepm(out, map(pm_from_zo, _decode_all(matrices)))
     elapsed = time.monotonic() - start
     print(f"generated {count} matrices in {elapsed:.2f} s", file=sys.stderr)
     return 0
@@ -250,11 +251,19 @@ def _encode_all(bits: Iterator[BitMatrix]) -> Iterator:
         yield pm
 
 
+def _decode_all(matrices: Iterator) -> Iterator[BitMatrix]:
+    """Decode a stream of partition matrices, each from the one before it."""
+    prev = None
+    for pm in matrices:
+        t = decode_matrix(pm, prev)
+        prev = pm, t
+        yield t
+
+
 def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterator[BitMatrix]:
     """Parse any input format down to bit matrices, one at a time."""
     if fmt == "grouplist":
-        for _, pm in formats.parse_grouplist(lines):
-            yield decode_matrix(pm)
+        yield from _decode_all(pm for _, pm in formats.parse_grouplist(lines))
     elif fmt == "dense01":
         yield from formats.parse_dense01(lines)
     else:

@@ -7,7 +7,6 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -62,21 +61,61 @@ class FormatError(HadamardError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass keeps its fields in ``__slots__``, sets each once in
+    ``__init__`` with ``_set``, and names in ``_fields`` the ones that make
+    up its value.  Those give equality (only with an instance of the same
+    class), the hash and the repr, as for a frozen dataclass; assigning or
+    deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _set = object.__setattr__  # self._set(name, value), for __init__ only
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BitMatrix(Frozen):
     """Square matrix over {0,1}: a candidate or confirmed Hadamard matrix
     in {0,1} form (side m)."""
 
+    __slots__ = _fields = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        m = len(self.rows)
-        for row in self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        m = len(rows)
+        for row in rows:
             if len(row) != m:
                 raise ValueError(f"matrix is not square: side {m}, row of length {len(row)}")
             for e in row:
                 if e != 0 and e != 1:
                     raise ValueError(f"entry {e!r} is not a bit")
+        self._set("rows", rows)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
@@ -90,21 +129,22 @@ class BitMatrix:
         return BitMatrix(tuple(zip(*self.rows))) if self.rows else self
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Frozen):
     """Square matrix over {-1,+1}: a classical Hadamard matrix candidate
     (side n)."""
 
+    __slots__ = _fields = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: side {n}, row of length {len(row)}")
             for e in row:
                 if e != 1 and e != -1:
                     raise ValueError(f"entry {e!r} is not a sign")
+        self._set("rows", rows)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":
@@ -115,22 +155,22 @@ class SignMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(Frozen):
     """Derived search constants for an admissible order m.
 
     q = (m+1)/4 is the quarter, which is also the pairwise row overlap, and
-    b = 2q is the row weight.
+    b = 2q is the row weight.  validate_order is the checked way to make one.
     """
 
+    __slots__ = _fields = ("m", "q", "b")
     m: int
     q: int
     b: int
 
-    def __post_init__(self):
-        assert self.m % 4 == 3 and self.m >= 3
-        assert self.q == (self.m + 1) // 4
-        assert self.b == 2 * self.q
+    def __init__(self, m: int, q: int, b: int):
+        self._set("m", m)
+        self._set("q", q)
+        self._set("b", b)
 
 
 def validate_order(m: int) -> SearchParams:
@@ -141,7 +181,11 @@ def validate_order(m: int) -> SearchParams:
     if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 4 != 3:
         raise InvalidOrder(f"m={m} is incorrect size for Hadamard matrices")
     q = (m + 1) // 4
-    return SearchParams(m=m, q=q, b=2 * q)
+    params = SearchParams(m=m, q=q, b=2 * q)
+    assert params.m % 4 == 3 and params.m >= 3
+    assert params.q == (params.m + 1) // 4
+    assert params.b == 2 * params.q
+    return params
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

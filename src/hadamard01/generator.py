@@ -9,25 +9,20 @@ rows, so the emitted set is complete for that normal form.
 
 from __future__ import annotations
 
-import logging
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
-from .core import InternalInvariantViolation, SearchParams
+from .core import Frozen, InternalInvariantViolation, SearchParams
 from .gram import is_hadamard_masks
 from .partition import GroupList, PartitionMatrix, child_row, row_masks, shared_prefix
 from .solver import RowSystem, build_system, enumerate_solutions
-
-log = logging.getLogger(__name__)
 
 # Above this order the per-matrix verification defaults to off; emitted
 # matrices are correct by construction and the check is pure paranoia.
 VERIFY_DEFAULT_MAX_ORDER = 15
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Frozen):
     """Generation settings.
 
     ``limit`` cuts the stream after exactly that many matrices.
@@ -37,14 +32,20 @@ class GenConfig:
     stream).
     """
 
+    __slots__ = _fields = ("params", "limit", "verify_each", "progress")
     params: SearchParams
-    limit: int | None = None
-    verify_each: bool | None = None
-    progress: bool = False
+    limit: int | None
+    verify_each: bool | None
+    progress: bool
 
-    def __post_init__(self):
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
+    def __init__(self, params: SearchParams, limit: int | None = None,
+                 verify_each: bool | None = None, progress: bool = False):
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
+        self._set("params", params)
+        self._set("limit", limit)
+        self._set("verify_each", verify_each)
+        self._set("progress", progress)
 
     @property
     def verify_resolved(self) -> bool:
@@ -91,15 +92,19 @@ def iter_matrices(
     params = config.params
     m = params.m
     verify = config.verify_resolved
-    progress = config.progress
+    log_row = None
+    if config.progress:
+        import logging  # only here, to keep it off the import path
+
+        log_row = logging.getLogger(__name__).info
     row1, row2 = initial_rows(params)
     rows: list[GroupList] = [row1, row2]
     emitted = 0
 
     def extend(i: int, prev: RowSystem | None) -> Iterator[PartitionMatrix]:
         # prev is the system that produced rows[-1], so row i can extend it
-        if progress:
-            log.info("i=%d", i)
+        if log_row is not None:
+            log_row("i=%d", i)
         if deadline is not None and time.monotonic() >= deadline:
             return
         system = build_system(rows[-1], i, params, prev)

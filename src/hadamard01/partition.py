@@ -128,9 +128,22 @@ def encode_matrix(
     return PartitionMatrix(t.m, tuple(encoded))
 
 
-def decode_matrix(p: PartitionMatrix) -> BitMatrix:
-    """Expand every row of a partition matrix into explicit bits."""
-    return BitMatrix(tuple(decode_row(g) for g in p.rows))
+def decode_matrix(
+    p: PartitionMatrix, prev: tuple[PartitionMatrix, BitMatrix] | None = None
+) -> BitMatrix:
+    """Expand every row of a partition matrix into explicit bits.
+
+    ``prev`` is the previous (partition matrix, its decoding) pair of a
+    stream, as for encode_matrix the other way: a bit row depends only on
+    its own group list, so the leading group lists shared with prev keep
+    prev's bit rows, and only the rows after them are decoded.
+    """
+    decoded: tuple[tuple[int, ...], ...] = ()
+    d = 0
+    if prev is not None:
+        d = shared_prefix(p.rows, prev[0].rows)
+        decoded = prev[1].rows[:d]
+    return BitMatrix(decoded + tuple(decode_row(g) for g in p.rows[d:]))
 
 
 def row_masks(p: PartitionMatrix, start: int = 0) -> list[int]:

@@ -23,18 +23,15 @@ a sublist of a colex-sorted list is colex-sorted, so it is never reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from math import gcd
 from typing import Iterator
 
-from .core import SearchParams
+from .core import Frozen, SearchParams
 from .partition import GroupList
 
 
-@dataclass(frozen=True)
-class RowSystem:
+class RowSystem(Frozen):
     """Equations for row ``i`` over one variable per parent group.
 
     Each equation is (variable index subset, rhs); coefficients are
@@ -43,21 +40,36 @@ class RowSystem:
     plus ``equations[1]``, takes no part in equality.
     """
 
+    __slots__ = ("i", "bounds", "equations", "prev", "_solutions")
+    _fields = ("i", "bounds", "equations")
     i: int
     bounds: tuple[int, ...]
     equations: tuple[tuple[tuple[int, ...], int], ...]
-    prev: RowSystem | None = field(default=None, compare=False, repr=False)
+    prev: RowSystem | None
 
-    @cached_property
+    def __init__(self, i: int, bounds: tuple[int, ...],
+                 equations: tuple[tuple[tuple[int, ...], int], ...],
+                 prev: RowSystem | None = None):
+        self._set("i", i)
+        self._set("bounds", bounds)
+        self._set("equations", equations)
+        self._set("prev", prev)
+        self._set("_solutions", None)
+
+    @property
     def solutions(self) -> tuple[tuple[int, ...], ...]:
         """Every bounded solution in colex order: prev's list filtered,
-        or the scan."""
-        if self.prev is not None:
-            support, rhs = self.equations[1]
-            return tuple(
-                k for k in self.prev.solutions if sum(map(k.__getitem__, support)) == rhs
-            )
-        return _scan(self)
+        or the scan; computed on first use and kept."""
+        if self._solutions is None:
+            if self.prev is not None:
+                support, rhs = self.equations[1]
+                found = tuple(
+                    k for k in self.prev.solutions if sum(map(k.__getitem__, support)) == rhs
+                )
+            else:
+                found = _scan(self)
+            self._set("_solutions", found)
+        return self._solutions
 
 
 def build_system(

@@ -1,4 +1,7 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +299,25 @@ def test_missing_input_file_is_exit_2(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/path.txt")
     assert code == 2
     assert "Error" in err
+
+
+def test_convert_normalize_error_comes_under_convert_usage(tmp_path, capsys):
+    src = tmp_path / "in.d01"
+    src.write_text("110\n101\n011\n")
+    code, _, err = run(capsys, "convert", str(src), "--from", "dense01", "--to",
+                       "densepm", "--normalize")
+    assert code == 2
+    assert err.startswith("usage: hadamard01 convert ")
+    assert err.splitlines()[-1] == (
+        "hadamard01 convert: error: argument --normalize: only applies to --from densepm"
+    )
+
+
+def test_cli_import_leaves_dataclasses_logging_and_inspect_out():
+    # -S: no site hooks, so only the package's own imports count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hadamard01.cli; "
+            "print(sorted({'dataclasses', 'logging', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,7 +1,7 @@
-"""Per-row reuse across a stream: the Gram check, the grouplist reader and
-the encoder keep the last record's rows and redo only the rows after the
-prefix a record shares with it.  Every verdict, record and error must be
-what the same record gives on its own."""
+"""Per-row reuse across a stream: the Gram check, the grouplist reader, the
+encoder and the decoder keep the last record's rows and redo only the rows
+after the prefix a record shares with it.  Every verdict, record and error
+must be what the same record gives on its own."""
 
 import io
 import random
@@ -11,7 +11,7 @@ import pytest
 from hadamard01 import GenConfig, decode_matrix, encode_matrix, iter_matrices, validate_order
 from hadamard01.cli import _verify_records, main
 from hadamard01.core import BitMatrix, FormatError, NonCanonicalRow
-from hadamard01.formats import grouplist_record, parse_grouplist, write_grouplist
+from hadamard01.formats import grouplist_record, parse_grouplist, write_dense01, write_grouplist
 from hadamard01.gram import is_hadamard_masks
 from hadamard01.partition import (
     PartitionMatrix,
@@ -233,3 +233,39 @@ def test_encoding_from_prev_raises_the_same_error(m7_matrices, m11_head):
         assert (str(got.value), got.value.row_index) == expected
         raised += 1
     assert raised >= 10
+
+
+# the decoder --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stream", [
+    lambda m7, m11: list(m7),
+    lambda m7, m11: random.Random(6).sample(m11, 300),
+    lambda m7, m11: [m7[0], m7[0], m7[0], m11[0], m11[0], m7[1], m7[1], m7[0]],
+], ids=["m7-stream", "shuffled-m11-sample", "repeated-records"])
+def test_decoding_from_prev_equals_decoding_alone(m7_matrices, m11_head, stream):
+    prev = None
+    for pm in stream(m7_matrices, m11_head):
+        t = decode_matrix(pm, prev)
+        assert t == decode_matrix(pm)
+        if prev is not None:
+            d = shared_prefix(pm.rows, prev[0].rows)
+            assert all(a is b for a, b in zip(t.rows[:d], prev[1].rows))
+        prev = pm, t
+
+
+def test_convert_decodes_each_record_from_the_one_before(tmp_path, capsys, m7_matrices,
+                                                          monkeypatch):
+    import hadamard01.cli as cli
+
+    calls = []
+    decode = cli.decode_matrix
+    monkeypatch.setattr(cli, "decode_matrix",
+                        lambda pm, prev=None: calls.append(prev) or decode(pm, prev))
+    src = tmp_path / "in.gl"
+    src.write_text(grouplist_text(m7_matrices))
+    assert main(["convert", str(src), "--from", "grouplist", "--to", "dense01"]) == 0
+    expected = io.StringIO()
+    write_dense01(expected, map(decode_matrix, m7_matrices))
+    assert capsys.readouterr().out == expected.getvalue()
+    assert calls[0] is None and all(prev is not None for prev in calls[1:])

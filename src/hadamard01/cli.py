@@ -161,9 +161,10 @@ def _cmd_generate(args) -> int:
         if args.format == "grouplist":
             count = formats.write_grouplist(out, matrices)
         elif args.format == "dense01":
-            count = formats.write_dense01(out, _decode_all(matrices))
+            count = formats.write_dense01(out, _each_from_last(decode_matrix, matrices))
         else:
-            count = formats.write_densepm(out, map(pm_from_zo, _decode_all(matrices)))
+            count = formats.write_densepm(
+                out, map(pm_from_zo, _each_from_last(decode_matrix, matrices)))
     elapsed = time.monotonic() - start
     print(f"generated {count} matrices in {elapsed:.2f} s", file=sys.stderr)
     return 0
@@ -234,7 +235,7 @@ def _cmd_convert(args) -> int:
     with _read_input(args.input) as lines, _open_out(args.output) as out:
         bits = _read_as_bits(lines, args.from_format, args.normalize)
         if args.to_format == "grouplist":
-            formats.write_grouplist(out, _encode_all(bits))
+            formats.write_grouplist(out, _each_from_last(encode_matrix, bits))
         elif args.to_format == "dense01":
             formats.write_dense01(out, bits)
         else:
@@ -242,28 +243,21 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _encode_all(bits: Iterator[BitMatrix]) -> Iterator:
-    """Encode a stream of bit matrices, each from the one before it."""
+def _each_from_last(fn, items: Iterator) -> Iterator:
+    """Map fn(item, prev) over a stream, where prev is the (item, result)
+    pair before it; encode_matrix and decode_matrix reuse its shared rows."""
     prev = None
-    for t in bits:
-        pm = encode_matrix(t, prev)
-        prev = t, pm
-        yield pm
-
-
-def _decode_all(matrices: Iterator) -> Iterator[BitMatrix]:
-    """Decode a stream of partition matrices, each from the one before it."""
-    prev = None
-    for pm in matrices:
-        t = decode_matrix(pm, prev)
-        prev = pm, t
-        yield t
+    for item in items:
+        result = fn(item, prev)
+        prev = item, result
+        yield result
 
 
 def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterator[BitMatrix]:
     """Parse any input format down to bit matrices, one at a time."""
     if fmt == "grouplist":
-        yield from _decode_all(pm for _, pm in formats.parse_grouplist(lines))
+        yield from _each_from_last(
+            decode_matrix, (pm for _, pm in formats.parse_grouplist(lines)))
     elif fmt == "dense01":
         yield from formats.parse_dense01(lines)
     else:
@@ -274,15 +268,19 @@ def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterato
 def _cmd_bench(args) -> int:
     params = validate_order(args.m)
     config = GenConfig(params, limit=args.limit, verify_each=False)
-    deadline = None
-    if args.duration is not None:
-        deadline = time.monotonic() + args.duration
     start = time.monotonic()
+    deadline = None if args.duration is None else start + args.duration
+    first = None
     count = 0
     for _ in iter_matrices(config, deadline=deadline):
+        if first is None:
+            first = time.monotonic() - start
         count += 1
-    elapsed = time.monotonic() - start
+    end = time.monotonic()
+    elapsed = end - start
     rate = round(count * 60.0 / elapsed) if elapsed > 0 else 0
-    print(f"m={params.m}: {count} matrices in {elapsed:.2f} s")
+    cut = "" if deadline is None or end < deadline else f" (cut at {args.duration:g} s)"
+    print(f"m={params.m}: {count} matrices in {elapsed:.2f} s{cut}")
     print(f"v={rate} matrices/minute")
+    print(f"first matrix after {'-' if first is None else f'{first:.2f}'} s")
     return 0

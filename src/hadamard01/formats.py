@@ -214,6 +214,10 @@ def _parse_row(toks: _Tokens, depth: int) -> GroupList:
     return GroupList(depth, tuple(groups))
 
 
+# by value: a BitMatrix entry may be any number equal to 0 or 1 (False, 1.0)
+_BIT_CHAR = {0: "0", 1: "1"}
+
+
 def write_dense01(out, matrices: Iterable[BitMatrix]) -> int:
     count = 0
     for t in matrices:
@@ -221,7 +225,7 @@ def write_dense01(out, matrices: Iterable[BitMatrix]) -> int:
             out.write("\n")
         count += 1
         for row in t.rows:
-            out.write("".join(str(e) for e in row) + "\n")
+            out.write("".join(map(_BIT_CHAR.__getitem__, row)) + "\n")
     return count
 
 

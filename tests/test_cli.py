@@ -35,8 +35,12 @@ def test_generate_m3_golden(tmp_path, capsys):
      "--duration: must be finite and positive"),
     (["bench", "-m", "7", "--duration", "nan"],
      "--duration: must be finite and positive"),
+    (["bench", "-m", "7", "--duration", "-1"],
+     "--duration: must be finite and positive"),
+    (["bench", "-m", "7", "--duration", "inf"],
+     "--duration: must be finite and positive"),
 ], ids=["order", "generate-limit", "bench-limit", "bench-duration-zero",
-        "bench-duration-nan"])
+        "bench-duration-nan", "bench-duration-negative", "bench-duration-inf"])
 def test_generate_rejects_bad_order(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -293,6 +297,22 @@ def test_bench_with_duration(capsys):
     code, stdout, _ = run(capsys, "bench", "-m", "15", "--duration", "0.3")
     assert code == 0
     assert re.search(r"v=\d+ matrices/minute", stdout)
+
+
+def test_bench_reports_the_first_matrix_time(capsys):
+    code, stdout, _ = run(capsys, "bench", "-m", "3")
+    assert code == 0
+    assert re.search(r"^first matrix after \d+\.\d\d s$", stdout, re.MULTILINE)
+    assert "cut at" not in stdout
+
+
+def test_bench_cut_before_the_first_matrix(capsys):
+    # the first order-19 matrix takes tens of seconds
+    code, stdout, _ = run(capsys, "bench", "-m", "19", "--duration", "0.3")
+    assert code == 0
+    assert re.search(r"^m=19: 0 matrices in \d+\.\d\d s \(cut at 0\.3 s\)$",
+                     stdout, re.MULTILINE)
+    assert re.search(r"^first matrix after - s$", stdout, re.MULTILINE)
 
 
 def test_missing_input_file_is_exit_2(capsys):

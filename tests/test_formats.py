@@ -178,6 +178,17 @@ def test_dense01_round_trip(m7_matrices):
     assert list(parse_dense01(io.StringIO(out.getvalue()))) == mats
 
 
+@pytest.mark.parametrize("kind", [bool, float])
+def test_dense01_writes_entries_by_value(kind):
+    # BitMatrix accepts any entry equal to 0 or 1, such as True or 1.0
+    rows = [[1, 1, 1], [1, 0, 0], [1, 0, 1]]
+    t = BitMatrix.of([[kind(e) for e in row] for row in rows])
+    out = io.StringIO()
+    write_dense01(out, [t])
+    assert out.getvalue() == "111\n100\n101\n"
+    assert list(parse_dense01(io.StringIO(out.getvalue()))) == [BitMatrix.of(rows)]
+
+
 def test_dense01_tolerates_extra_blank_lines():
     text = "\n\n10\n01\n\n\n11\n10\n\n"
     mats = list(parse_dense01(io.StringIO(text)))

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -7,27 +6,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "production_rates.py"
-
-
-def load_production_rates():
-    spec = importlib.util.spec_from_file_location("production_rates", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("budget", ["nan", "-1", "0", "inf"])
-def test_production_rates_rejects_bad_budget(budget, monkeypatch, capsys):
-    module = load_production_rates()
-    # the budget is parsed before any search starts; fail loudly if not
-    monkeypatch.setattr(module, "run_order", lambda m, budget: pytest.fail("search ran"))
-    with pytest.raises(SystemExit) as exc:
-        module.main(["--budget", budget])
-    assert exc.value.code == 2
-    assert "finite and positive" in capsys.readouterr().err
-
-
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 

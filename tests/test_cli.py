@@ -315,6 +315,17 @@ def test_bench_cut_before_the_first_matrix(capsys):
     assert re.search(r"^first matrix after - s$", stdout, re.MULTILINE)
 
 
+@pytest.mark.parametrize("duration", ["nan", "-1", "0", "inf"])
+def test_bench_rejects_bad_duration(duration, monkeypatch, capsys):
+    import hadamard01.cli as cli
+    # the duration is parsed before any search starts; fail loudly if not
+    monkeypatch.setattr(cli, "iter_matrices",
+                        lambda *a, **k: pytest.fail("search ran"))
+    code, _, err = run(capsys, "bench", "-m", "3", "--duration", duration)
+    assert code == 2
+    assert "finite and positive" in err
+
+
 def test_missing_input_file_is_exit_2(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/path.txt")
     assert code == 2

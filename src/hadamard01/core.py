@@ -100,6 +100,20 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _square(rows: tuple[tuple[int, ...], ...], entries: tuple[int, int], kind: str):
+    """``rows`` itself, once checked to be square with every entry equal
+    to one of ``entries`` (by value, so True and 1.0 pass as 1); raises
+    ValueError at the first row or entry that is not."""
+    side = len(rows)
+    for row in rows:
+        if len(row) != side:
+            raise ValueError(f"matrix is not square: side {side}, row of length {len(row)}")
+        for e in row:
+            if e not in entries:
+                raise ValueError(f"entry {e!r} is not a {kind}")
+    return rows
+
+
 class BitMatrix(Frozen):
     """Square matrix over {0,1}: a candidate or confirmed Hadamard matrix
     in {0,1} form (side m)."""
@@ -108,14 +122,7 @@ class BitMatrix(Frozen):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        m = len(rows)
-        for row in rows:
-            if len(row) != m:
-                raise ValueError(f"matrix is not square: side {m}, row of length {len(row)}")
-            for e in row:
-                if e != 0 and e != 1:
-                    raise ValueError(f"entry {e!r} is not a bit")
-        self._set("rows", rows)
+        self._set("rows", _square(rows, (0, 1), "bit"))
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
@@ -137,14 +144,7 @@ class SignMatrix(Frozen):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"matrix is not square: side {n}, row of length {len(row)}")
-            for e in row:
-                if e != 1 and e != -1:
-                    raise ValueError(f"entry {e!r} is not a sign")
-        self._set("rows", rows)
+        self._set("rows", _square(rows, (1, -1), "sign"))
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":

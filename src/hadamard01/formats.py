@@ -269,8 +269,8 @@ def _blocks(
                 yield current, current[0][1]
                 current = []
             continue
-        bad = next((ch for ch in line if ch not in alphabet), None)
-        if bad is not None:
+        bad = line.lstrip(alphabet)[:1]  # the first character not in alphabet
+        if bad:
             raise FormatError(
                 f"invalid character {bad!r} in {kind} row", line=lineno
             )

@@ -173,54 +173,41 @@ def canonicalize(t: BitMatrix) -> BitMatrix:
     return BitMatrix(tuple(tuple(row[c] for c in order) for row in t.rows))
 
 
-def validate_group_list(g: GroupList, m: int) -> None:
-    """Check the GroupList invariants; raises ValueError on violation."""
-    if g.depth < 1:
-        raise ValueError(f"depth must be >= 1, got {g.depth}")
-    prev = -1
-    total = 0
-    for label, count in g.groups:
-        if count < 1:
-            raise ValueError(f"group ({label},{count}) has nonpositive count")
-        if label <= prev:
-            raise ValueError(f"labels not strictly increasing at {label}")
-        if not 0 <= label < (1 << g.depth):
-            raise ValueError(f"label {label} out of range for depth {g.depth}")
-        prev = label
-        total += count
-    if total != m:
-        raise ValueError(f"counts sum to {total}, expected {m}")
-
-
 def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
-    """Check all PartitionMatrix invariants including refinement consistency.
+    """Check that every row refines the row above it (row 1 the root
+    group of all m columns); raises ValueError naming the first bad row.
 
-    Rows before index ``start`` are taken as checked: a row's validity
-    depends only on its parent row and m, so rows shared with a record
-    already validated at the same m need no second look.
+    One walk per row beside its parent: for each parent group (l, c) in
+    order, the row holds the children (2l, a) then (2l+1, c-a), each only
+    if its count is positive, and nothing else.  Label order, label range
+    and the row total m follow from the parent's.  Rows before index
+    ``start`` are taken as checked: a row's validity depends only on its
+    parent row and m, so rows shared with a record already validated at
+    the same m need no second look.
     """
     if len(p.rows) != p.m:
         raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")
     parent = p.rows[start - 1] if start else root_group_list(p.m)
     for i, g in enumerate(p.rows[start:], start=start + 1):
         if g.depth != i:
-            raise ValueError(f"row {i} has depth {g.depth}")
-        validate_group_list(g, p.m)
-        remaining = dict(parent.groups)
-        for label, count in g.groups:
-            pl = label // 2
-            if pl not in remaining:
+            raise ValueError(f"row {i}: depth {g.depth}, expected {i}")
+        groups = g.groups
+        j = 0
+        for label, count in parent.groups:
+            left = count
+            for child in (2 * label, 2 * label + 1):
+                if j < len(groups) and groups[j][0] == child:
+                    if groups[j][1] < 1:
+                        raise ValueError(f"row {i}: group {groups[j]} has nonpositive count")
+                    left -= groups[j][1]
+                    j += 1
+            if left:
                 raise ValueError(
-                    f"row {i}: group {label} has no parent group {pl} in row {i - 1}"
+                    f"row {i}: children of group {label} of row {i - 1} "
+                    f"count {count - left}, not {count}"
                 )
-            remaining[pl] -= count
-            if remaining[pl] < 0:
-                raise ValueError(
-                    f"row {i}: children of group {pl} exceed its count"
-                )
-        leftover = {pl: c for pl, c in remaining.items() if c != 0}
-        if leftover:
+        if j < len(groups):
             raise ValueError(
-                f"row {i}: children do not cover parent groups {sorted(leftover)}"
+                f"row {i}: group {groups[j][0]} is not the next child of a group of row {i - 1}"
             )
         parent = g

@@ -116,6 +116,16 @@ def test_verify_fails_on_non_hadamard_grouplist_record(tmp_path, capsys):
     assert stdout == "X: FAIL\n"
 
 
+def test_verify_names_the_row_of_a_refinement_error(tmp_path, capsys):
+    # row 3 lists the children of row 2's groups out of order
+    bad = tmp_path / "bad.gl"
+    bad.write_text("HM_3_1:[[[0,2],[1,1]],[[0,1],[1,1],[2,1]],[[1,1],[5,1],[4,1]]]$\n")
+    code, stdout, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert stdout == ""
+    assert "line 1: record HM_3_1: row 3: " in err
+
+
 def test_verify_mixed_blocks(tmp_path, capsys):
     f = tmp_path / "mix.d01"
     f.write_text("110\n101\n011\n\n111\n111\n111\n")

@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="re-verify each emitted matrix (default: on for m <= 15)",
     )
-    p_gen.add_argument("--progress", action="store_true", help="log row-entry events")
+    p_gen.add_argument("--progress", action="store_true",
+                       help="write a status line to stderr about once a second")
 
     p_ver = sub.add_parser("verify", help="check every record of a file")
     p_ver.add_argument("input", help="input path")
@@ -108,10 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_convert(args)
         if args.command == "bench":
             return _cmd_bench(args)
-    except HadamardError as exc:
-        print(f"Error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HadamardError, OSError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
@@ -126,27 +124,6 @@ def _open_out(path: str | None):
             yield handle
 
 
-@contextmanager
-def _progress_to_stderr(enabled: bool):
-    """Send the generator's row-entry log to stderr for this run."""
-    if not enabled:
-        yield
-        return
-    import logging  # only here, to keep it off the import path
-
-    gen_log = logging.getLogger("hadamard01.generator")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    old_level = gen_log.level
-    gen_log.addHandler(handler)
-    gen_log.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        gen_log.removeHandler(handler)
-        gen_log.setLevel(old_level)
-
-
 def _cmd_generate(args) -> int:
     params = validate_order(args.m)
     config = GenConfig(
@@ -156,7 +133,7 @@ def _cmd_generate(args) -> int:
         progress=args.progress,
     )
     start = time.monotonic()
-    with _progress_to_stderr(args.progress), _open_out(args.output) as out:
+    with _open_out(args.output) as out:
         matrices = iter_matrices(config)
         if args.format == "grouplist":
             count = formats.write_grouplist(out, matrices)
@@ -245,10 +222,14 @@ def _cmd_convert(args) -> int:
 
 def _each_from_last(fn, items: Iterator) -> Iterator:
     """Map fn(item, prev) over a stream, where prev is the (item, result)
-    pair before it; encode_matrix and decode_matrix reuse its shared rows."""
+    pair before it; encode_matrix and decode_matrix reuse its shared rows.
+    An error of fn names the matrix, numbered from 1 as ``verify`` does."""
     prev = None
-    for item in items:
-        result = fn(item, prev)
+    for k, item in enumerate(items, start=1):
+        try:
+            result = fn(item, prev)
+        except HadamardError as exc:
+            raise HadamardError(f"matrix {k}: {exc}") from exc
         prev = item, result
         yield result
 
@@ -261,8 +242,9 @@ def _read_as_bits(lines: Iterator[str], fmt: str, do_normalize: bool) -> Iterato
     elif fmt == "dense01":
         yield from formats.parse_dense01(lines)
     else:
-        for h in formats.parse_densepm(lines):
-            yield zo_from_pm(normalize(h) if do_normalize else h)
+        yield from _each_from_last(
+            lambda h, _: zo_from_pm(normalize(h) if do_normalize else h),
+            formats.parse_densepm(lines))
 
 
 def _cmd_bench(args) -> int:

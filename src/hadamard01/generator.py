@@ -9,6 +9,7 @@ rows, so the emitted set is complete for that normal form.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Iterator
 
@@ -21,15 +22,18 @@ from .solver import RowSystem, build_system, enumerate_solutions
 # matrices are correct by construction and the check is pure paranoia.
 VERIFY_DEFAULT_MAX_ORDER = 15
 
+# Seconds between two status lines of a run with progress on.
+PROGRESS_PERIOD_S = 1.0
+
 
 class GenConfig(Frozen):
     """Generation settings.
 
     ``limit`` cuts the stream after exactly that many matrices.
     ``verify_each`` None means the default policy: verify every emitted
-    matrix for m <= 15, skip above.  ``progress`` logs a row-entry event
-    for every extension step on the package logger (never on the output
-    stream).
+    matrix for m <= 15, skip above.  ``progress`` writes a status line to
+    stderr (never to the output stream) at the first row entry and then at
+    most once per PROGRESS_PERIOD_S: ``i=<depth> emitted=<count> t=<s>s``.
     """
 
     __slots__ = _fields = ("params", "limit", "verify_each", "progress")
@@ -92,19 +96,20 @@ def iter_matrices(
     params = config.params
     m = params.m
     verify = config.verify_resolved
-    log_row = None
-    if config.progress:
-        import logging  # only here, to keep it off the import path
-
-        log_row = logging.getLogger(__name__).info
+    start = time.monotonic()
+    next_status = start if config.progress else None  # time of the next status line
     row1, row2 = initial_rows(params)
     rows: list[GroupList] = [row1, row2]
     emitted = 0
 
     def extend(i: int, prev: RowSystem | None) -> Iterator[PartitionMatrix]:
         # prev is the system that produced rows[-1], so row i can extend it
-        if log_row is not None:
-            log_row("i=%d", i)
+        nonlocal next_status
+        if next_status is not None:
+            now = time.monotonic()
+            if now >= next_status:
+                print(f"i={i} emitted={emitted} t={now - start:.1f}s", file=sys.stderr)
+                next_status = now + PROGRESS_PERIOD_S
         if deadline is not None and time.monotonic() >= deadline:
             return
         system = build_system(rows[-1], i, params, prev)

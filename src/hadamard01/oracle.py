@@ -1,8 +1,9 @@
 """Independent brute-force enumeration for validating the generator.
 
 Deliberately dumb: tabulate every weight-2q bit row, extend the fixed
-first two rows one explicit row at a time keeping every pairwise product
-at q, then map each completion to canonical group-list form and dedupe.
+leading rows (the first two, or rows 1..r of a search path) one explicit
+row at a time keeping every pairwise product at q, then map each
+completion to canonical group-list form and dedupe.
 Correct by inspection, exponential by design; capped at m = 7 unless the
 caller opts in to a long run.
 """
@@ -10,23 +11,31 @@ caller opts in to a long run.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 from .core import BitMatrix, OrderTooLarge, SearchParams, pack_row
 from .generator import initial_rows
-from .partition import PartitionMatrix, canonicalize, decode_row, encode_matrix
+from .partition import (
+    GroupList, PartitionMatrix, canonicalize, decode_row, encode_matrix,
+)
 
 BRUTE_FORCE_MAX_ORDER = 7
 
 
 def brute_force_canonical(
-    params: SearchParams, allow_large: bool = False
+    params: SearchParams,
+    rows: Sequence[GroupList] | None = None,
+    allow_large: bool = False,
 ) -> set[PartitionMatrix]:
-    """All canonical matrices with the fixed first two rows, by brute force.
+    """All canonical matrices with the given leading rows, by brute force.
 
-    Enumerates explicit bit matrices (row weight 2q, pairwise products q,
-    rows 1-2 fixed), canonicalizes the columns of each completion, encodes,
-    and returns the deduplicated set.  m = 11 takes hours; anything past
-    the cap raises OrderTooLarge unless allow_large is set.
+    ``rows`` are the fixed leading rows, by default the first two
+    (``initial_rows``); rows 1..r of a search path give that path's subtree.
+    Enumerates explicit bit matrices (row weight 2q, pairwise products q)
+    that start with them, canonicalizes the columns of each completion,
+    encodes, and returns the deduplicated set.  m = 11 from two rows takes
+    hours; anything past the cap raises OrderTooLarge unless allow_large is
+    set, however many rows are fixed.
     """
     m, q, b = params.m, params.q, params.b
     if m > BRUTE_FORCE_MAX_ORDER and not allow_large:
@@ -35,28 +44,29 @@ def brute_force_canonical(
             "pass allow_large=True for a long run"
         )
 
+    fixed = [pack_row(decode_row(g)) for g in rows or initial_rows(params)]
+    # a later row meets every fixed row in q ones; filter for that once
     candidates = []
     for ones in combinations(range(m), b):
         mask = 0
         for c in ones:
             mask |= 1 << (m - 1 - c)
-        candidates.append(mask)
+        if all((mask & f).bit_count() == q for f in fixed):
+            candidates.append(mask)
 
-    row1, row2 = (decode_row(g) for g in initial_rows(params))
-    fixed = [pack_row(row1), pack_row(row2)]
     found: set[PartitionMatrix] = set()
-    prefix = list(fixed)
+    placed: list[int] = []
 
     def extend() -> None:
-        if len(prefix) == m:
-            rows = tuple(_unmask(r, m) for r in prefix)
-            found.add(encode_matrix(canonicalize(BitMatrix(rows))))
+        if len(fixed) + len(placed) == m:
+            bits = tuple(_unmask(r, m) for r in fixed + placed)
+            found.add(encode_matrix(canonicalize(BitMatrix(bits))))
             return
         for cand in candidates:
-            if all((cand & prev).bit_count() == q for prev in prefix):
-                prefix.append(cand)
+            if all((cand & prev).bit_count() == q for prev in placed):
+                placed.append(cand)
                 extend()
-                prefix.pop()
+                placed.pop()
 
     extend()
     return found

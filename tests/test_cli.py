@@ -203,6 +203,30 @@ def test_convert_rejects_one_by_one_sign_matrix(tmp_path, capsys, to):
     assert out == "matrix 1: PASS\n"
 
 
+@pytest.mark.parametrize("fmt, second, to, extra, message", [
+    ("dense01", "110\n011\n101\n", "grouplist", (),
+     "row 2: ones are not contiguous-first within columns 0..1"),
+    ("densepm", "++++\n-+-+\n++--\n+--+\n", "dense01", (),
+     "first row and first column must be all +1"),
+    ("densepm", "++++\n++-+\n++--\n+--+\n", "dense01", ("--normalize",),
+     "4x4 sign matrix is not Hadamard"),
+], ids=["dense01-encode", "densepm-border", "densepm-normalize"])
+def test_convert_error_names_the_matrix(tmp_path, capsys, fmt, second, to, extra,
+                                        message):
+    # the first block converts; the second fails after it is parsed
+    first = "110\n101\n011\n" if fmt == "dense01" else "++++\n+--+\n+-+-\n++--\n"
+    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+    one.write_text(first)
+    two.write_text(first + "\n" + second)
+    argv = ("--from", fmt, "--to", to, *extra)
+    code, first_out, _ = run(capsys, "convert", str(one), *argv)
+    assert code == 0
+    code, out, err = run(capsys, "convert", str(two), *argv)
+    assert code == 2
+    assert err == f"Error: matrix 2: {message}\n"
+    assert out == first_out
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_input_lines_end_at_any_newline(tmp_path, capsys, newline):
     f = tmp_path / "mix.d01"
@@ -362,3 +386,11 @@ def test_cli_import_leaves_dataclasses_logging_and_inspect_out():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+    # nor does a run with --progress, which prints its status line itself
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); import hadamard01.cli; "
+            "hadamard01.cli.main(['generate', '-m', '3', '--progress', "
+            "'-o', os.devnull]); print('logging' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+    assert done.stderr.startswith("i=3 emitted=0 t=")

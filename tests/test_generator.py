@@ -114,13 +114,22 @@ def test_verification_failure_aborts(monkeypatch):
         list(iter_matrices(GenConfig(validate_order(7), verify_each=True)))
 
 
-def test_progress_logs_row_entries(caplog):
-    import logging
+def test_progress_writes_rate_limited_status_lines(capsys, monkeypatch):
+    import hadamard01.generator as generator_module
 
-    with caplog.at_level(logging.INFO, logger="hadamard01.generator"):
-        list(iter_matrices(GenConfig(validate_order(7), progress=True)))
-    assert "i=3" in caplog.text
-    assert "i=7" in caplog.text
+    config = GenConfig(validate_order(7), progress=True)
+    assert len(list(iter_matrices(config))) == 30
+    # m=7 ends well inside one period: only the line at the first row entry
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("i=3 emitted=0 t=")
+    # with no period every row entry writes a line, the deepest ones too
+    monkeypatch.setattr(generator_module, "PROGRESS_PERIOD_S", 0)
+    assert len(list(iter_matrices(config))) == 30
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 53
+    assert {line.split()[0] for line in lines} == {f"i={i}" for i in range(3, 8)}
+    assert lines[-1].startswith("i=7 emitted=29 t=")
 
 
 def test_deadline_stops_search_promptly():

@@ -1,3 +1,5 @@
+from itertools import takewhile
+
 import pytest
 
 from hadamard01 import (
@@ -46,3 +48,18 @@ def test_sampled_generator_outputs_are_members(m7_matrices):
 def test_cost_cap():
     with pytest.raises(OrderTooLarge):
         brute_force_canonical(validate_order(11))
+
+
+@pytest.mark.parametrize("m, r, count", [(11, 5, 1440), (11, 6, 120),
+                                         (15, 9, 4320), (15, 11, 48)])
+def test_subtree_of_the_first_path_equals_the_search(m, r, count):
+    # fix rows 1..r of the first emitted matrix; depth-first order puts the
+    # search's whole subtree under them at the head of the stream
+    params = validate_order(m)
+    stream = iter_matrices(GenConfig(params, verify_each=False))
+    first = next(stream)
+    prefix = first.rows[:r]
+    subtree = [first, *takewhile(lambda pm: pm.rows[:r] == prefix, stream)]
+    assert len(subtree) == count
+    found = brute_force_canonical(params, rows=prefix, allow_large=True)
+    assert found == set(subtree)

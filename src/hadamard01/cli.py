@@ -3,10 +3,14 @@
 Exit statuses: 0 on success (all records pass for verify), 1 when a
 verification reports failures, 2 on usage, parse, or domain errors.
 
-verify and convert stream their input one record at a time.  When a record
-fails to parse, the records before it have already been reported (verify)
-or written (convert); the command then stops with exit 2 and the
-line-numbered error.
+Each subcommand's parser sets its ``_cmd_*`` function as ``run``, and main
+calls it.
+
+verify and convert open their input as latin-1 and hand its lines straight
+to a ``formats`` reader, which checks them, a non-ASCII byte included.  They
+stream their input one record at a time.  When a record fails to parse,
+the records before it have already been reported (verify) or written
+(convert); the command then stops with exit 2 and the line-numbered error.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from . import formats
-from .core import BitMatrix, FormatError, HadamardError, validate_order
+from .core import BitMatrix, HadamardError, validate_order
 from .generator import GenConfig, iter_matrices
 from .gram import is_hadamard_masks, is_hadamard_zo
 from .partition import decode_matrix, encode_matrix, row_masks, shared_prefix
@@ -69,10 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--progress", action="store_true",
                        help="write a status line to stderr about once a second")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_ver = sub.add_parser("verify", help="check every record of a file")
     p_ver.add_argument("input", help="input path")
     p_ver.add_argument("--format", **fmt_kwargs)
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_conv = sub.add_parser("convert", help="rewrite a file in another format")
     p_conv.add_argument("input", help="input path")
@@ -85,34 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalize", action="store_true",
         help="normalize densepm input before converting",
     )
-    p_conv.set_defaults(usage_error=p_conv.error)  # for checks across options
+    # usage_error is for checks across options
+    p_conv.set_defaults(run=_cmd_convert, usage_error=p_conv.error)
 
     p_bench = sub.add_parser("bench", help="measure the matrix production rate")
     p_bench.add_argument("-m", type=int, required=True)
     p_bench.add_argument("--limit", type=_positive_int, help="stop after N matrices")
     p_bench.add_argument("--duration", type=_positive_seconds,
                          help="stop after this many seconds")
+    p_bench.set_defaults(run=_cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "convert" and args.normalize and args.from_format != "densepm":
-        args.usage_error("argument --normalize: only applies to --from densepm")
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return args.run(args)
     except (HadamardError, OSError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 @contextmanager
@@ -147,29 +144,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-@contextmanager
-def _read_input(path: str):
-    """The lines of an input file, read one at a time.
-
-    A non-ASCII byte is a FormatError on its line.  latin-1 decodes every
-    byte, so the check sees the byte instead of a decode error; newlines
-    are universal, as in any text-mode read.
-    """
-    with open(path, encoding="latin-1", newline=None) as handle:
-        def lines() -> Iterator[str]:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.isascii():
-                    byte = next(ch for ch in line if not ch.isascii())
-                    raise FormatError(f"non-ASCII byte {ord(byte):#04x}", line=lineno)
-                yield line
-
-        yield lines()
-
-
 def _cmd_verify(args) -> int:
     failures = 0
     total = 0
-    with _read_input(args.input) as lines:
+    # latin-1 decodes every byte, so a reader names a non-ASCII byte on its
+    # line instead of the read failing to decode; newlines are universal
+    with open(args.input, encoding="latin-1") as lines:
         for name, passed in _verify_records(lines, args.format):
             total += 1
             print(f"{name}: {'PASS' if passed else 'FAIL'}")
@@ -206,10 +186,12 @@ def _verify_records(lines: Iterator[str], fmt: str) -> Iterator[tuple[str, bool]
 
 
 def _cmd_convert(args) -> int:
+    if args.normalize and args.from_format != "densepm":
+        args.usage_error("argument --normalize: only applies to --from densepm")
     if args.output and os.path.exists(args.output) and os.path.samefile(args.input, args.output):
         # streaming would truncate the input before reading it
         raise HadamardError(f"output {args.output} is the input file")
-    with _read_input(args.input) as lines, _open_out(args.output) as out:
+    with open(args.input, encoding="latin-1") as lines, _open_out(args.output) as out:
         bits = _read_as_bits(lines, args.from_format, args.normalize)
         if args.to_format == "grouplist":
             formats.write_grouplist(out, _each_from_last(encode_matrix, bits))

@@ -13,12 +13,14 @@ densepm     same block layout with entries + and - for +1 and -1.
 
 The parsers take an iterable of lines (such as an open text file) and
 yield one record at a time, so a file of any size is read in bounded
-memory.
+memory.  They take ASCII only: any other character, Unicode digits and
+spaces included, is a FormatError on its line.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import BitMatrix, FormatError, SignMatrix
@@ -31,12 +33,23 @@ from .partition import (
 
 FORMATS = ("grouplist", "dense01", "densepm")
 
-_TOKEN = re.compile(r"([ \t]+)|(\n)|([\[\],:$])|(\d+)|([A-Za-z_][A-Za-z0-9_]*)")
+# ASCII digits only: \d and int() would take other scripts' digits too
+_TOKEN = re.compile(r"([ \t]+)|(\n)|([\[\],:$])|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)")
 # numbers short enough for int(); a longer one goes to the tokenizer, which reports it
-_PAIR = r"\[\d{1,999},\d{1,999}\]"
+_PAIR = r"\[[0-9]{1,999},[0-9]{1,999}\]"
 _ROW = rf"\[{_PAIR}(?:,{_PAIR})*\]"
 # one whole record on one line, as the writer emits it: (name, rows)
 _RECORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*):\[({_ROW}(?:,{_ROW})*)\]\$\n?")
+
+
+def _bad_char(ch: str, message: str, line: int) -> FormatError:
+    """``message`` for a character a reader does not take; a non-ASCII one
+    is named by its code, as a byte where it can be one (read as latin-1)."""
+    if ch.isascii():
+        return FormatError(message, line=line)
+    code = ord(ch)
+    what = f"byte {code:#04x}" if code < 0x100 else f"character U+{code:04X}"
+    return FormatError(f"non-ASCII {what}", line=line)
 
 
 def _render_row(g: GroupList) -> str:
@@ -96,7 +109,7 @@ class _Tokens:
             if match.lastindex > 2:  # not whitespace or a line break
                 toks.append(match.group())
         if pos != len(text):
-            raise FormatError(f"unexpected character {text[pos]!r}", line=line)
+            raise _bad_char(text[pos], f"unexpected character {text[pos]!r}", line)
         if toks:
             self.toks, self.i, self.line = toks, 0, line
 
@@ -214,77 +227,62 @@ def _parse_row(toks: _Tokens, depth: int) -> GroupList:
     return GroupList(depth, tuple(groups))
 
 
-# by value: a BitMatrix entry may be any number equal to 0 or 1 (False, 1.0)
-_BIT_CHAR = {0: "0", 1: "1"}
+# dense01 and densepm are one block format with two alphabets.  Entries are
+# written by value, so a BitMatrix entry True or 1.0 is written as "1".
+_BITS = {0: "0", 1: "1"}
+_SIGNS = {1: "+", -1: "-"}
+_ASCII_SPACE = " \t\n\r\f\v"  # str.strip() would strip Unicode spaces too
 
 
 def write_dense01(out, matrices: Iterable[BitMatrix]) -> int:
+    return _write_blocks(out, matrices, _BITS)
+
+
+def write_densepm(out, matrices: Iterable[SignMatrix]) -> int:
+    return _write_blocks(out, matrices, _SIGNS)
+
+
+def parse_dense01(lines: Iterable[str]) -> Iterator[BitMatrix]:
+    """Parse blank-line-separated blocks of 0/1 rows into square matrices."""
+    yield from _read_blocks(lines, _BITS, BitMatrix, "dense01")
+
+
+def parse_densepm(lines: Iterable[str]) -> Iterator[SignMatrix]:
+    """Parse blank-line-separated blocks of +/- rows into square matrices."""
+    yield from _read_blocks(lines, _SIGNS, SignMatrix, "densepm")
+
+
+def _write_blocks(out, matrices: Iterable, chars: dict[int, str]) -> int:
     count = 0
     for t in matrices:
         if count:
             out.write("\n")
         count += 1
         for row in t.rows:
-            out.write("".join(map(_BIT_CHAR.__getitem__, row)) + "\n")
+            out.write("".join(map(chars.__getitem__, row)) + "\n")
     return count
 
 
-def parse_dense01(lines: Iterable[str]) -> Iterator[BitMatrix]:
-    """Parse blank-line-separated blocks of 0/1 rows into square matrices."""
-    for block, start_line in _blocks(lines, alphabet="01", kind="dense01"):
-        _require_square(block, start_line)
-        yield BitMatrix.of([[int(ch) for ch in line] for line, _ in block])
-
-
-_PM_ENTRY = {"+": 1, "-": -1}
-
-
-def write_densepm(out, matrices: Iterable[SignMatrix]) -> int:
-    count = 0
-    for h in matrices:
-        if count:
-            out.write("\n")
-        count += 1
-        for row in h.rows:
-            out.write("".join("+" if e == 1 else "-" for e in row) + "\n")
-    return count
-
-
-def parse_densepm(lines: Iterable[str]) -> Iterator[SignMatrix]:
-    """Parse blank-line-separated blocks of +/- rows into square matrices."""
-    for block, start_line in _blocks(lines, alphabet="+-", kind="densepm"):
-        _require_square(block, start_line)
-        yield SignMatrix.of([[_PM_ENTRY[ch] for ch in line] for line, _ in block])
-
-
-def _blocks(
-    lines: Iterable[str], alphabet: str, kind: str
-) -> Iterator[tuple[list[tuple[str, int]], int]]:
-    """Yield (block, start line) pairs of consecutive data lines."""
-    current: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                yield current, current[0][1]
-                current = []
-            continue
-        bad = line.lstrip(alphabet)[:1]  # the first character not in alphabet
-        if bad:
-            raise FormatError(
-                f"invalid character {bad!r} in {kind} row", line=lineno
-            )
-        current.append((line, lineno))
-    if current:
-        yield current, current[0][1]
-
-
-def _require_square(block: list[tuple[str, int]], start_line: int) -> None:
-    m = len(block)
-    for line, lineno in block:
-        if len(line) != m:
-            raise FormatError(
-                f"block starting here is not square: {m} rows but a row of "
-                f"length {len(line)}",
-                line=start_line,
-            )
+def _read_blocks(lines: Iterable[str], chars: dict[int, str], matrix_type, kind: str) -> Iterator:
+    """Yield each block of ``lines`` as a ``matrix_type`` as soon as it ends.
+    A block fails at the first row that shows it is not square, so a
+    malformed block is rejected in bounded memory."""
+    value = {ch: v for v, ch in chars.items()}
+    alphabet = "".join(value)
+    rows: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(chain(lines, [""]), start=1):  # "" ends the last block
+        line = raw.strip(_ASCII_SPACE)
+        if bad := line.lstrip(alphabet)[:1]:  # the first character not in alphabet
+            raise _bad_char(bad, f"invalid character {bad!r} in {kind} row", lineno)
+        if line and not rows:
+            start, side = lineno, len(line)
+        if line and len(line) == side and len(rows) < side:
+            rows.append(tuple(map(value.__getitem__, line)))
+        elif line or 0 < len(rows) < side:
+            found = (f"row {len(rows) + 1} has length {len(line)}" if line
+                     else f"it has only {len(rows)} rows")
+            raise FormatError(f"block starting here is not square: side {side} from "
+                              f"its first row, but {found}", line=start)
+        elif rows:
+            yield matrix_type(tuple(rows))
+            rows = []

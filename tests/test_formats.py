@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 
 import pytest
@@ -225,3 +226,32 @@ def test_densepm_rejects_digits():
     with pytest.raises(FormatError) as exc:
         list(parse_densepm(io.StringIO("++\n+1\n")))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    # an Arabic-Indic four, on the one-line fast path and in a wrapped record
+    (parse_grouplist, "X:[[[0,1]]]$\nX:[[[\u0664,1]]]$\n", 2, "character U+0664"),
+    (parse_grouplist, "X:[[\n[0,\n\u0661]]]$\n", 3, "character U+0661"),
+    # Unicode spaces are not stripped from dense rows
+    (parse_dense01, "110\n101\n011\xa0\n", 3, "byte 0xa0"),
+    (parse_densepm, "++\n+-\u3000\n", 2, "character U+3000"),
+], ids=["grouplist-canonical", "grouplist-wrapped", "dense01", "densepm"])
+def test_readers_reject_non_ascii(parse, text, line, message):
+    with pytest.raises(FormatError, match=f"non-ASCII {re.escape(message)}$") as exc:
+        list(parse(io.StringIO(text)))
+    assert exc.value.line == line
+
+
+def test_non_square_block_fails_at_the_row_that_breaks_it():
+    pulled = 0
+
+    def lines():
+        nonlocal pulled
+        for line in itertools.chain(["11\n"], itertools.repeat("11\n", 200000)):
+            pulled += 1
+            yield line
+
+    with pytest.raises(FormatError, match="not square") as exc:
+        list(parse_dense01(lines()))
+    assert exc.value.line == 1
+    assert pulled <= 3

@@ -21,8 +21,13 @@ def test_benchmark_runner_ends_with_a_result(workload, trace):
             "--seed", "1", "--seconds", "0.1", "--trace", trace]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    last = (proc.stdout.splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        pytest.fail(f"last stdout line is not a result: {last!r}\n{proc.stderr}")
     assert result["correct"] is True and result["failed"] == 0
     if trace == "1":
         wanted = {metric["name"] for metric in BENCHMARK["per_layer"]}
-        assert wanted <= set(result["metrics"])
+        missing = wanted - set(result["metrics"])
+        assert not missing, missing

@@ -53,7 +53,7 @@ def _bad_char(ch: str, message: str, line: int) -> FormatError:
 
 
 def _render_row(g: GroupList) -> str:
-    return "[" + ",".join(f"[{label},{count}]" for label, count in g.groups) + "]"
+    return "[" + ",".join(f"[{label},{count}]" for label, count in g) + "]"
 
 
 def render_grouplist(pm: PartitionMatrix) -> str:
@@ -88,33 +88,36 @@ def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
 class _Tokens:
     """Token stream over numbered lines of a record file.
 
+    Tokens are read one at a time, only as far as the parser looks, so a
+    long line of many records is parsed in memory bounded by one record.
     A line is pulled from ``lines`` only when the tokens of the lines
     before it are used up.
     """
 
     def __init__(self, lines: Iterator[tuple[int, str]]):
         self.lines = lines
-        self.toks: list[str] = []  # tokens of the last line that had any
-        self.i = 0
-        self.line = 1  # the number of that line
+        self.text = ""  # the line being read
+        self.at = 0  # its number
+        self.pos = 0  # where its unread part starts
+        self.tok: str | None = None  # the next token, once read ahead
+        self.line = 1  # the line of the last token read
 
     def feed(self, text: str, line: int) -> None:
-        """Tokenize one line into the buffer."""
-        toks = []
-        pos = 0
-        for match in _TOKEN.finditer(text):
-            if match.start() != pos:
-                break
-            pos = match.end()
-            if match.lastindex > 2:  # not whitespace or a line break
-                toks.append(match.group())
-        if pos != len(text):
-            raise _bad_char(text[pos], f"unexpected character {text[pos]!r}", line)
-        if toks:
-            self.toks, self.i, self.line = toks, 0, line
+        """Read tokens from this line next."""
+        self.text, self.at, self.pos = text, line, 0
 
     def buffered(self) -> bool:
-        return self.i < len(self.toks)
+        """Whether the line being read has a token left (read ahead)."""
+        text = self.text
+        while self.tok is None and self.pos < len(text):
+            match = _TOKEN.match(text, self.pos)
+            if match is None:
+                ch = text[self.pos]
+                raise _bad_char(ch, f"unexpected character {ch!r}", self.at)
+            self.pos = match.end()
+            if match.lastindex > 2:  # not whitespace or a line break
+                self.tok, self.line = match.group(), self.at
+        return self.tok is not None
 
     def peek(self) -> str | None:
         while not self.buffered():
@@ -122,7 +125,7 @@ class _Tokens:
             if text is None:
                 return None
             self.feed(text, line)
-        return self.toks[self.i]
+        return self.tok
 
     def take(self, expected: str | None = None) -> str:
         tok = self.peek()
@@ -130,8 +133,15 @@ class _Tokens:
             raise FormatError("unexpected end of file", line=self.line)
         if expected is not None and tok != expected:
             raise FormatError(f"expected {expected!r}, found {tok!r}", line=self.line)
-        self.i += 1
+        self.tok = None
         return tok
+
+    def number(self) -> int:
+        tok = self.take()
+        try:
+            return int(tok)
+        except ValueError:
+            raise FormatError(f"expected an integer, found {tok!r}", line=self.line) from None
 
 
 def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix]]:
@@ -145,13 +155,13 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
 
     Successive canonical records share leading rows, as a depth-first
     search writes them.  The leading rows whose text equals that of the
-    last canonical record keep that record's GroupList objects, and only
-    the rows after them are decoded and validated: a row's validity
-    depends only on its parent row and m, which the shared text fixes,
-    and the last record was validated whole (a record that fails ends
-    the stream).  Reused rows are the same objects, so consumers that
-    keep per-row work, such as the writer and the Gram check of
-    ``verify``, redo only the new rows too.
+    last canonical record keep that record's row tuples, and only the
+    rows after them are decoded and validated: a row's validity depends
+    only on its parent row and m, which the shared text fixes, and the
+    last record was validated whole (a record that fails ends the
+    stream).  Reused rows are the same objects, so consumers that keep
+    per-row work, such as the writer and the Gram check of ``verify``,
+    redo only the new rows too.
     """
     numbered = enumerate(lines, start=1)
     toks = _Tokens(numbered)  # shares the line iterator with this loop
@@ -162,9 +172,9 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
             texts = match[2][2:-2].split("]],[[")
             d = shared_prefix(texts, last)
             rows = rows[:d]
-            for depth, row in enumerate(texts[d:], start=d + 1):
+            for row in texts[d:]:
                 nums = map(int, row.replace("],[", ",").split(","))
-                rows.append(GroupList(depth, tuple(zip(nums, nums))))  # (label, count)
+                rows.append(tuple(zip(nums, nums)))  # (label, count)
             last = texts
             yield _checked(match[1], rows, line, d)
             continue
@@ -182,7 +192,7 @@ def _parse_record(toks: _Tokens) -> tuple[str, PartitionMatrix]:
     rows = []
     toks.take("[")
     while True:
-        rows.append(_parse_row(toks, depth=len(rows) + 1))
+        rows.append(_parse_row(toks))
         if toks.peek() == ",":
             toks.take(",")
             continue
@@ -195,7 +205,7 @@ def _parse_record(toks: _Tokens) -> tuple[str, PartitionMatrix]:
 def _checked(
     name: str, rows: list[GroupList], line: int, start: int = 0
 ) -> tuple[str, PartitionMatrix]:
-    m = sum(count for _, count in rows[0].groups)
+    m = sum(count for _, count in rows[0])
     pm = PartitionMatrix(m, tuple(rows))
     try:
         validate_partition_matrix(pm, start)
@@ -204,19 +214,14 @@ def _checked(
     return name, pm
 
 
-def _parse_row(toks: _Tokens, depth: int) -> GroupList:
+def _parse_row(toks: _Tokens) -> GroupList:
     groups = []
     toks.take("[")
     while True:
         toks.take("[")
-        try:
-            label = int(toks.take())
-            toks.take(",")
-            count = int(toks.take())
-        except ValueError:
-            # int() rejected the token take() just returned
-            tok = toks.toks[toks.i - 1]
-            raise FormatError(f"expected an integer, found {tok!r}", line=toks.line) from None
+        label = toks.number()
+        toks.take(",")
+        count = toks.number()
         toks.take("]")
         groups.append((label, count))
         if toks.peek() == ",":
@@ -224,7 +229,7 @@ def _parse_row(toks: _Tokens, depth: int) -> GroupList:
             continue
         break
     toks.take("]")
-    return GroupList(depth, tuple(groups))
+    return tuple(groups)
 
 
 # dense01 and densepm are one block format with two alphabets.  Entries are

@@ -15,7 +15,9 @@ from typing import Iterator
 
 from .core import Frozen, InternalInvariantViolation, SearchParams
 from .gram import is_hadamard_masks
-from .partition import GroupList, PartitionMatrix, child_row, row_masks, shared_prefix
+from .partition import (
+    GroupList, PartitionMatrix, child_row, root_group_list, row_masks, shared_prefix,
+)
 from .solver import RowSystem, build_system, enumerate_solutions
 
 # Above this order the per-matrix verification defaults to off; emitted
@@ -61,17 +63,12 @@ class GenConfig(Frozen):
 def initial_rows(params: SearchParams) -> tuple[GroupList, GroupList]:
     """The fixed first two rows for order m.
 
-    Row 1 is 2q ones then 2q-1 zeros; row 2 splits both blocks in half
-    (q ones first in each), with the trailing zero group dropped when
-    q = 1 since it would be empty.
+    Row 1 is 2q ones then 2q-1 zeros; row 2 puts q ones first in each of
+    its groups (child_row drops the empty zero group when q = 1).
     """
     q = params.q
-    row1 = GroupList(1, ((0, 2 * q), (1, 2 * q - 1)))
-    groups2 = [(0, q), (1, q), (2, q)]
-    if q > 1:
-        groups2.append((3, q - 1))
-    row2 = GroupList(2, tuple(groups2))
-    return row1, row2
+    row1 = child_row(root_group_list(params.m), (params.b,))
+    return row1, child_row(row1, (q, q))
 
 
 def iter_matrices(

@@ -19,17 +19,12 @@ from typing import NamedTuple
 from .core import BitMatrix, NonCanonicalRow
 
 Group = tuple[int, int]  # (label, count), count >= 1
-
-
-class GroupList(NamedTuple):
-    """One row at refinement depth ``depth`` as ordered (label, count) pairs."""
-
-    depth: int
-    groups: tuple[Group, ...]
+# One row as its ordered (label, count) pairs; its depth is its row number.
+GroupList = tuple[Group, ...]
 
 
 class PartitionMatrix(NamedTuple):
-    """A full m-row matrix in group-list form; row i has depth i."""
+    """A full m-row matrix in group-list form; row i (rows[i-1]) has depth i."""
 
     m: int
     rows: tuple[GroupList, ...]
@@ -37,13 +32,13 @@ class PartitionMatrix(NamedTuple):
 
 def root_group_list(m: int) -> GroupList:
     """The virtual depth-0 root: all m columns in a single group 0."""
-    return GroupList(0, ((0, m),))
+    return ((0, m),)
 
 
 def decode_row(g: GroupList) -> tuple[int, ...]:
     """Expand a group list into an explicit bit row (even label -> ones)."""
     bits: list[int] = []
-    for label, count in g.groups:
+    for label, count in g:
         bits.extend((1 if label % 2 == 0 else 0,) * count)
     return tuple(bits)
 
@@ -52,12 +47,12 @@ def child_row(parent: GroupList, k: tuple[int, ...]) -> GroupList:
     """Refine ``parent`` by k_s ones per group: group s splits into
     (2l_s, k_s) and (2l_s+1, count_s - k_s), zero counts omitted."""
     groups: list[Group] = []
-    for (label, count), ones in zip(parent.groups, k):
+    for (label, count), ones in zip(parent, k):
         if ones:
             groups.append((2 * label, ones))
         if count - ones:
             groups.append((2 * label + 1, count - ones))
-    return GroupList(parent.depth + 1, tuple(groups))
+    return tuple(groups)
 
 
 def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
@@ -68,7 +63,7 @@ def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
     """
     ks: list[int] = []
     pos = 0
-    for _, count in parent.groups:
+    for _, count in parent:
         span = bits[pos:pos + count]
         k = sum(span)
         if not all(span[:k]):
@@ -153,7 +148,7 @@ def row_masks(p: PartitionMatrix, start: int = 0) -> list[int]:
     masks = []
     for g in p.rows[start:]:
         mask = 0
-        for label, count in g.groups:
+        for label, count in g:
             mask <<= count
             if not label & 1:
                 mask |= (1 << count) - 1
@@ -188,12 +183,9 @@ def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
     if len(p.rows) != p.m:
         raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")
     parent = p.rows[start - 1] if start else root_group_list(p.m)
-    for i, g in enumerate(p.rows[start:], start=start + 1):
-        if g.depth != i:
-            raise ValueError(f"row {i}: depth {g.depth}, expected {i}")
-        groups = g.groups
+    for i, groups in enumerate(p.rows[start:], start=start + 1):
         j = 0
-        for label, count in parent.groups:
+        for label, count in parent:
             left = count
             for child in (2 * label, 2 * label + 1):
                 if j < len(groups) and groups[j][0] == child:
@@ -210,4 +202,4 @@ def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
             raise ValueError(
                 f"row {i}: group {groups[j][0]} is not the next child of a group of row {i - 1}"
             )
-        parent = g
+        parent = groups

@@ -85,7 +85,7 @@ def build_system(
     counts agree, row i-1 split no group: bounds and earlier supports carry
     over, only the row i-1 equation is new, and the result is the same.
     """
-    labels = [label for label, _ in parent.groups]
+    labels = [label for label, _ in parent]
 
     def overlap(qq: int) -> tuple[tuple[int, ...], int]:
         return tuple(s for s, label in enumerate(labels) if (label // qq) % 2 == 0), params.q
@@ -95,7 +95,7 @@ def build_system(
         return RowSystem(i, prev.bounds, eqs[:1] + (overlap(1),) + eqs[1:], prev)
     equations = [(tuple(range(len(labels))), params.b)]
     equations += [overlap(2**t) for t in range(i - 1)]
-    return RowSystem(i, tuple(count for _, count in parent.groups), tuple(equations))
+    return RowSystem(i, tuple(count for _, count in parent), tuple(equations))
 
 
 def _combine(a: int, x: list[int], b: int, y: list[int]) -> list[int]:

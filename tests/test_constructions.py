@@ -73,8 +73,8 @@ def assert_on_search_path(h: SignMatrix) -> None:
     for i in range(3, pm.m + 1):
         parent, row = pm.rows[i - 2], pm.rows[i - 1]
         system = build_system(parent, i, params, system)
-        ones = dict(row.groups)
-        k = tuple(ones.get(2 * label, 0) for label, _ in parent.groups)
+        ones = dict(row)
+        k = tuple(ones.get(2 * label, 0) for label, _ in parent)
         assert k in system.solutions, f"row {i}"
 
 

@@ -1,6 +1,7 @@
 import io
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -104,6 +105,41 @@ def test_parse_reports_overlong_integer_on_canonical_line():
     with pytest.raises(FormatError, match="expected an integer") as exc:
         list(parse_grouplist(io.StringIO(f"X:[[[0,1]]]$\n{line}\n")))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("X:[[[0,1]]]$\nX\n[[[0,1]]]$\n", 3, "expected ':', found '['"),
+    ("X:[[[0,1]]]$\n\n[[[0,1]]]$\n", 3, "expected record name, found '['"),
+    ("X:[[[0,1]]]$ 1:[[[0,1]]]$\n", 1, "expected record name, found '1'"),
+], ids=["no-colon", "no-name", "number-for-name"])
+def test_parse_reports_a_missing_name_or_colon(text, line, message):
+    with pytest.raises(FormatError, match=re.escape(message)) as exc:
+        list(parse_grouplist(io.StringIO(text)))
+    assert exc.value.line == line
+
+
+def test_long_line_of_records_parses_in_bounded_memory(m7_matrices):
+    # records on one line go to the tokenizer, which reads tokens only as
+    # far as the parser looks: peak memory is about one record, not the line
+    records = itertools.islice(itertools.cycle(m7_matrices), 1000)
+    line = " ".join(grouplist_record(pm, k) for k, pm in enumerate(records, 1)) + "\n"
+    tracemalloc.start()
+    try:
+        parsed = sum(1 for _ in parse_grouplist([line]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == 1000
+    assert peak < len(line) / 2, (peak, len(line))
+
+
+def test_tokenizer_reports_a_bad_character_after_whole_records(m7_matrices):
+    line = " ".join(grouplist_record(pm, k) for k, pm in enumerate(m7_matrices[:3], 1))
+    got = []
+    with pytest.raises(FormatError, match="unexpected character '#'") as exc:
+        got.extend(parse_grouplist(io.StringIO(f"{line}\n{line} #\n")))
+    assert exc.value.line == 2
+    assert [pm for _, pm in got] == list(m7_matrices[:3]) * 2
 
 
 _GROUPLIST_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[\[\],:$]")

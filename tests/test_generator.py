@@ -5,7 +5,6 @@ import pytest
 from hadamard01 import (
     BitMatrix,
     GenConfig,
-    GroupList,
     InternalInvariantViolation,
     decode_matrix,
     initial_rows,
@@ -19,39 +18,37 @@ from hadamard01.generator import child_row
 
 def test_initial_rows_m15(params15):
     row1, row2 = initial_rows(params15)
-    assert row1 == GroupList(1, ((0, 8), (1, 7)))
-    assert row2 == GroupList(2, ((0, 4), (1, 4), (2, 4), (3, 3)))
+    assert row1 == ((0, 8), (1, 7))
+    assert row2 == ((0, 4), (1, 4), (2, 4), (3, 3))
 
 
 def test_initial_rows_m3():
     row1, row2 = initial_rows(validate_order(3))
-    assert row1 == GroupList(1, ((0, 2), (1, 1)))
-    assert row2 == GroupList(2, ((0, 1), (1, 1), (2, 1)))
+    assert row1 == ((0, 2), (1, 1))
+    assert row2 == ((0, 1), (1, 1), (2, 1))
 
 
 def test_initial_rows_m7():
     row1, row2 = initial_rows(validate_order(7))
-    assert row1 == GroupList(1, ((0, 4), (1, 3)))
-    assert row2 == GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
+    assert row1 == ((0, 4), (1, 3))
+    assert row2 == ((0, 2), (1, 2), (2, 2), (3, 1))
 
 
 def test_child_row_splits_every_group():
-    parent = GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
-    assert child_row(parent, (1, 1, 1, 1)) == GroupList(
-        3, ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1))
+    parent = ((0, 2), (1, 2), (2, 2), (3, 1))
+    assert child_row(parent, (1, 1, 1, 1)) == (
+        (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)
     )
 
 
 def test_child_row_drops_empty_children():
-    parent = GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
-    assert child_row(parent, (0, 2, 2, 0)) == GroupList(
-        3, ((1, 2), (2, 2), (4, 2), (7, 1))
-    )
+    parent = ((0, 2), (1, 2), (2, 2), (3, 1))
+    assert child_row(parent, (0, 2, 2, 0)) == ((1, 2), (2, 2), (4, 2), (7, 1))
 
 
 def test_child_row_m3():
-    parent = GroupList(2, ((0, 1), (1, 1), (2, 1)))
-    assert child_row(parent, (0, 1, 1)) == GroupList(3, ((1, 1), (2, 1), (4, 1)))
+    parent = ((0, 1), (1, 1), (2, 1))
+    assert child_row(parent, (0, 1, 1)) == ((1, 1), (2, 1), (4, 1))
 
 
 def test_m3_generates_the_unique_matrix():

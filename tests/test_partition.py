@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hadamard01 import (
     BitMatrix,
-    GroupList,
     NonCanonicalRow,
     canonicalize,
     decode_matrix,
@@ -24,38 +23,36 @@ from conftest import KNOWN_3_GROUPS, bits
 
 
 def test_decode_row_two_groups():
-    g = GroupList(1, ((0, 8), (1, 7)))
+    g = ((0, 8), (1, 7))
     assert decode_row(g) == bits("111111110000000")
 
 
 def test_decode_row_parity_rule():
-    g = GroupList(3, ((1, 1), (2, 1), (4, 1)))
+    g = ((1, 1), (2, 1), (4, 1))
     assert decode_row(g) == (0, 1, 1)
 
 
 @pytest.mark.parametrize("m", [3, 7, 15])
 def test_decode_row_single_even_group(m):
-    assert decode_row(GroupList(1, ((0, m),))) == (1,) * m
+    assert decode_row(((0, m),)) == (1,) * m
 
 
 def test_encode_row_depth2(known15):
-    parent = GroupList(1, ((0, 8), (1, 7)))
+    parent = ((0, 8), (1, 7))
     g = encode_row(known15.rows[1], parent)
-    assert g == GroupList(2, ((0, 4), (1, 4), (2, 4), (3, 3)))
+    assert g == ((0, 4), (1, 4), (2, 4), (3, 3))
 
 
 def test_encode_row_depth3(known15):
-    parent = GroupList(2, ((0, 4), (1, 4), (2, 4), (3, 3)))
+    parent = ((0, 4), (1, 4), (2, 4), (3, 3))
     g = encode_row(known15.rows[2], parent)
-    assert g == GroupList(
-        3, ((0, 3), (1, 1), (2, 1), (3, 3), (4, 1), (5, 3), (6, 3))
-    )
+    assert g == ((0, 3), (1, 1), (2, 1), (3, 3), (4, 1), (5, 3), (6, 3))
 
 
 def test_encode_row_all_zeros():
-    parent = GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
+    parent = ((0, 2), (1, 2), (2, 2), (3, 1))
     g = encode_row((0,) * 7, parent)
-    assert g == GroupList(3, ((1, 2), (3, 2), (5, 2), (7, 1)))
+    assert g == ((1, 2), (3, 2), (5, 2), (7, 1))
 
 
 def test_encode_row_rejects_scattered_ones():
@@ -64,18 +61,27 @@ def test_encode_row_rejects_scattered_ones():
         encode_row((1, 0, 1, 0), parent)
 
 
+def test_encode_row_rejects_a_row_of_another_length():
+    # a whole-matrix encode never gets here (BitMatrix is square), so the
+    # error carries no row index
+    message = "row length 4 does not match parent span total 3"
+    with pytest.raises(NonCanonicalRow, match=message) as exc:
+        encode_row((1, 1, 0, 0), root_group_list(3))
+    assert exc.value.row_index is None
+
+
 def test_encode_matrix_known15(known15):
     pm = encode_matrix(known15)
     validate_partition_matrix(pm)
-    assert pm.rows[0].groups == ((0, 8), (1, 7))
-    assert pm.rows[1].groups == ((0, 4), (1, 4), (2, 4), (3, 3))
+    assert pm.rows[0] == ((0, 8), (1, 7))
+    assert pm.rows[1] == ((0, 4), (1, 4), (2, 4), (3, 3))
     assert decode_matrix(pm) == known15
 
 
 def test_encode_matrix_order3():
     t = BitMatrix.of([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     pm = encode_matrix(t)
-    assert tuple(r.groups for r in pm.rows) == KNOWN_3_GROUPS
+    assert pm.rows == KNOWN_3_GROUPS
     assert decode_matrix(pm) == t
 
 
@@ -87,7 +93,7 @@ def test_encode_matrix_reports_offending_row():
 
 
 def test_decode_single_group_row_is_all_ones():
-    assert decode_row(GroupList(1, ((0, 7),))) == (1,) * 7
+    assert decode_row(((0, 7),)) == (1,) * 7
 
 
 bit_square = st.integers(min_value=1, max_value=8).flatmap(
@@ -132,7 +138,7 @@ def test_label_bits_record_membership_history(known15):
     pm = encode_matrix(known15)
     for i, g in enumerate(pm.rows, start=1):
         pos = 0
-        for label, count in g.groups:
+        for label, count in g:
             for c in range(pos, pos + count):
                 for j in range(1, i + 1):
                     bit = (label >> (i - j)) & 1
@@ -144,14 +150,14 @@ def test_row_invariants_on_known15(known15):
     pm = encode_matrix(known15)
     validate_partition_matrix(pm)
     for i, g in enumerate(pm.rows, start=1):
-        assert sum(c for _, c in g.groups) == 15
-        assert len(g.groups) <= min(2 ** i, 15)
+        assert sum(c for _, c in g) == 15
+        assert len(g) <= min(2 ** i, 15)
 
 
 def test_validate_rejects_refinement_breaks():
     rows = (
-        GroupList(1, ((0, 2), (1, 1))),
-        GroupList(2, ((0, 1), (5, 1), (3, 1))),  # label 5 out of range, order broken
+        ((0, 2), (1, 1)),
+        ((0, 1), (5, 1), (3, 1)),  # label 5 out of range, order broken
     )
     with pytest.raises(ValueError):
         validate_partition_matrix(PartitionMatrix(3, rows))
@@ -159,8 +165,8 @@ def test_validate_rejects_refinement_breaks():
 
 def test_validate_rejects_orphan_child():
     rows = (
-        GroupList(1, ((0, 3),)),
-        GroupList(2, ((0, 2), (3, 1))),  # parent group 1 never existed
+        ((0, 3),),
+        ((0, 2), (3, 1)),  # parent group 1 never existed
     )
     with pytest.raises(ValueError):
         validate_partition_matrix(PartitionMatrix(3, rows))
@@ -168,8 +174,8 @@ def test_validate_rejects_orphan_child():
 
 def test_validate_rejects_bad_child_counts():
     rows = (
-        GroupList(1, ((0, 2), (1, 1))),
-        GroupList(2, ((0, 2), (1, 1))),  # children of group 0 sum to 3 != 2
+        ((0, 2), (1, 1)),
+        ((0, 2), (1, 1)),  # children of group 0 sum to 3 != 2
     )
     with pytest.raises(ValueError):
         validate_partition_matrix(PartitionMatrix(3, rows))

@@ -8,7 +8,9 @@ import random
 
 import pytest
 
-from hadamard01 import GenConfig, decode_matrix, encode_matrix, iter_matrices, validate_order
+from hadamard01 import (
+    GenConfig, decode_matrix, encode_matrix, initial_rows, iter_matrices, validate_order,
+)
 from hadamard01.cli import _verify_records, main
 from hadamard01.core import BitMatrix, FormatError, NonCanonicalRow
 from hadamard01.formats import grouplist_record, parse_grouplist, write_dense01, write_grouplist
@@ -46,7 +48,7 @@ def with_random_tail(pm, keep, rng):
     rows = list(pm.rows[:keep])
     while len(rows) < pm.m:
         parent = rows[-1]
-        rows.append(child_row(parent, tuple(rng.randint(0, c) for _, c in parent.groups)))
+        rows.append(child_row(parent, tuple(rng.randint(0, c) for _, c in parent)))
     return PartitionMatrix(pm.m, tuple(rows))
 
 
@@ -192,6 +194,32 @@ def test_validate_from_start_checks_only_later_rows(m7_matrices):
     validate_partition_matrix(pm, 6)
     with pytest.raises(ValueError, match="expected 7 rows"):
         validate_partition_matrix(PartitionMatrix(7, pm.rows[:6]), 6)
+
+
+# the row producers --------------------------------------------------------------
+
+
+def test_every_row_producer_gives_equal_plain_tuples(m7_matrices):
+    # shared_prefix compares rows across producers, so a row wrapped in
+    # another type on one path would silently stop matching the others
+    wrapped = "\n".join(grouplist_record(pm, k).replace("],[", "],\n[")
+                        for k, pm in enumerate(m7_matrices, 1))
+    producers = {
+        "search": m7_matrices,  # initial_rows, then child_row
+        "encoder": [encode_matrix(decode_matrix(pm)) for pm in m7_matrices],
+        "fast path": [pm for _, pm in parse_grouplist(io.StringIO(grouplist_text(m7_matrices)))],
+        "tokenizer": [pm for _, pm in parse_grouplist(io.StringIO(wrapped))],
+    }
+    for name, matrices in producers.items():
+        assert list(matrices) == list(m7_matrices), name
+        for pm in matrices:
+            assert type(pm.rows) is tuple, name
+            for row in pm.rows:
+                assert type(row) is tuple, name
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in row), name
+    params = validate_order(7)
+    assert all(type(row) is tuple for row in initial_rows(params))
+    assert m7_matrices[0].rows[:2] == initial_rows(params)
 
 
 # the encoder --------------------------------------------------------------------

@@ -15,7 +15,6 @@ import re
 import pytest
 
 from hadamard01.partition import (
-    GroupList,
     PartitionMatrix,
     root_group_list,
     validate_partition_matrix,
@@ -27,19 +26,17 @@ def reference_bad_row(p: PartitionMatrix, start: int = 0) -> int | None:
     or None; rows before index ``start`` are taken as checked."""
     parent = p.rows[start - 1] if start else root_group_list(p.m)
     for i, g in enumerate(p.rows[start:], start=start + 1):
-        if g.depth != i:
-            return i
         prev = -1
         total = 0
-        for label, count in g.groups:
-            if count < 1 or label <= prev or not 0 <= label < (1 << g.depth):
+        for label, count in g:
+            if count < 1 or label <= prev or not 0 <= label < (1 << i):
                 return i
             prev = label
             total += count
         if total != p.m:
             return i
-        remaining = dict(parent.groups)
-        for label, count in g.groups:
+        remaining = dict(parent)
+        for label, count in g:
             if label // 2 not in remaining:
                 return i
             remaining[label // 2] -= count
@@ -92,11 +89,8 @@ def check_agrees(pm: PartitionMatrix, start: int = 0) -> int | None:
 def mutated_records(pm: PartitionMatrix):
     """(row index, kind, mutated matrix) for every mutation of every row."""
     for r, row in enumerate(pm.rows):
-        for kind, groups in mutants(row.groups):
-            rows = pm.rows[:r] + (GroupList(row.depth, groups),) + pm.rows[r + 1:]
-            yield r, kind, PartitionMatrix(pm.m, rows)
-        rows = pm.rows[:r] + (GroupList(row.depth + 1, row.groups),) + pm.rows[r + 1:]
-        yield r, "depth", PartitionMatrix(pm.m, rows)
+        for kind, groups in mutants(row):
+            yield r, kind, PartitionMatrix(pm.m, pm.rows[:r] + (groups,) + pm.rows[r + 1:])
 
 
 @pytest.mark.parametrize("m", [7, 11])
@@ -112,7 +106,7 @@ def test_one_walk_check_agrees_with_two_pass_reference(m, m7_matrices, m11_head)
             check_agrees(bad, r)
     assert caught == {
         "drop", "duplicate", "swap", "relabel", "negative label", "count",
-        "move column", "depth",
+        "move column",
     }
 
 
@@ -120,7 +114,7 @@ def test_moved_column_fails_on_the_row_below(m7_matrices):
     # a column moved between siblings still refines its own parent, so the
     # row below, whose children no longer add up, is the one named
     pm = m7_matrices[0]
-    assert pm.rows[1].groups == ((0, 2), (1, 2), (2, 2), (3, 1))
-    moved = GroupList(2, ((0, 3), (1, 1), (2, 2), (3, 1)))
+    assert pm.rows[1] == ((0, 2), (1, 2), (2, 2), (3, 1))
+    moved = ((0, 3), (1, 1), (2, 2), (3, 1))
     bad = PartitionMatrix(7, pm.rows[:1] + (moved,) + pm.rows[2:])
     assert check_agrees(bad) == 3

@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from hadamard01 import GenConfig, GroupList, dot, iter_matrices, validate_order
+from hadamard01 import GenConfig, dot, iter_matrices, validate_order
 from hadamard01 import solver
 from hadamard01.cli import main as cli_main
 from hadamard01.generator import child_row, initial_rows
@@ -14,7 +14,7 @@ from conftest import brute_force_solutions, walk_systems
 
 def test_build_system_m7_row3():
     params = validate_order(7)
-    parent = GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
+    parent = ((0, 2), (1, 2), (2, 2), (3, 1))
     sys = build_system(parent, 3, params)
     assert sys.bounds == (2, 2, 2, 1)
     assert sys.equations == (
@@ -26,7 +26,7 @@ def test_build_system_m7_row3():
 
 def test_build_system_m3_row3():
     params = validate_order(3)
-    parent = GroupList(2, ((0, 1), (1, 1), (2, 1)))
+    parent = ((0, 1), (1, 1), (2, 1))
     sys = build_system(parent, 3, params)
     assert sys.equations == (
         ((0, 1, 2), 2),
@@ -49,7 +49,7 @@ def test_system_has_i_equations(m, i):
 
 def test_solutions_m7_row3():
     params = validate_order(7)
-    parent = GroupList(2, ((0, 2), (1, 2), (2, 2), (3, 1)))
+    parent = ((0, 2), (1, 2), (2, 2), (3, 1))
     sys = build_system(parent, 3, params)
     assert set(enumerate_solutions(sys)) == {(0, 2, 2, 0), (1, 1, 1, 1)}
     assert set(enumerate_solutions(sys)) == brute_force_solutions(sys)
@@ -57,7 +57,7 @@ def test_solutions_m7_row3():
 
 def test_solutions_m3_row3():
     params = validate_order(3)
-    parent = GroupList(2, ((0, 1), (1, 1), (2, 1)))
+    parent = ((0, 1), (1, 1), (2, 1))
     sys = build_system(parent, 3, params)
     sols = list(enumerate_solutions(sys))
     assert sols == [(0, 1, 1)]

@@ -24,10 +24,10 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from . import formats
-from .core import BitMatrix, HadamardError, validate_order
+from .core import BitMatrix, HadamardError, pack_row, validate_order
 from .generator import GenConfig, iter_matrices
-from .gram import is_hadamard_masks, is_hadamard_zo
-from .partition import decode_matrix, encode_matrix, row_masks, shared_prefix
+from .gram import StreamCheck, is_hadamard_zo
+from .partition import decode_matrix, encode_matrix, row_mask
 from .presentation import (
     is_normalized,
     normalize,
@@ -134,11 +134,8 @@ def _cmd_generate(args) -> int:
         matrices = iter_matrices(config)
         if args.format == "grouplist":
             count = formats.write_grouplist(out, matrices)
-        elif args.format == "dense01":
-            count = formats.write_dense01(out, _each_from_last(decode_matrix, matrices))
         else:
-            count = formats.write_densepm(
-                out, map(pm_from_zo, _each_from_last(decode_matrix, matrices)))
+            count = _write_bits(out, args.format, _each_from_last(decode_matrix, matrices))
     elapsed = time.monotonic() - start
     print(f"generated {count} matrices in {elapsed:.2f} s", file=sys.stderr)
     return 0
@@ -160,21 +157,13 @@ def _cmd_verify(args) -> int:
 
 def _verify_records(lines: Iterator[str], fmt: str) -> Iterator[tuple[str, bool]]:
     if fmt == "grouplist":
-        # the parser hands on the rows a record shares with the last one as
-        # the same objects; only the rows after a prefix shared with a
-        # record that passed are masked and checked
-        last: tuple = ()
-        masks: list[int] = []
+        check = StreamCheck(row_mask)
         for name, pm in formats.parse_grouplist(lines):
-            d = shared_prefix(pm.rows, last)
-            del masks[d:]
-            masks += row_masks(pm, d)
-            ok = is_hadamard_masks(pm.m, masks, d)
-            last = pm.rows if ok else ()
-            yield name, ok
+            yield name, check(pm)
     elif fmt == "dense01":
+        check = StreamCheck(pack_row)
         for idx, t in enumerate(formats.parse_dense01(lines), start=1):
-            yield f"matrix {idx}", is_hadamard_zo(t)
+            yield f"matrix {idx}", check(t)
     else:
         for idx, h in enumerate(formats.parse_densepm(lines), start=1):
             ok = verify_sign_hadamard(h)
@@ -192,14 +181,17 @@ def _cmd_convert(args) -> int:
         # streaming would truncate the input before reading it
         raise HadamardError(f"output {args.output} is the input file")
     with open(args.input, encoding="latin-1") as lines, _open_out(args.output) as out:
-        bits = _read_as_bits(lines, args.from_format, args.normalize)
-        if args.to_format == "grouplist":
-            formats.write_grouplist(out, _each_from_last(encode_matrix, bits))
-        elif args.to_format == "dense01":
-            formats.write_dense01(out, bits)
-        else:
-            formats.write_densepm(out, (pm_from_zo(t) for t in bits))
+        _write_bits(out, args.to_format, _read_as_bits(lines, args.from_format, args.normalize))
     return 0
+
+
+def _write_bits(out, fmt: str, bits: Iterator[BitMatrix]) -> int:
+    """Write a stream of bit matrices in any format; returns the count."""
+    if fmt == "grouplist":
+        return formats.write_grouplist(out, _each_from_last(encode_matrix, bits))
+    if fmt == "dense01":
+        return formats.write_dense01(out, bits)
+    return formats.write_densepm(out, map(pm_from_zo, bits))
 
 
 def _each_from_last(fn, items: Iterator) -> Iterator:

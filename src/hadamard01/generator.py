@@ -14,10 +14,8 @@ import time
 from typing import Iterator
 
 from .core import Frozen, InternalInvariantViolation, SearchParams
-from .gram import is_hadamard_masks
-from .partition import (
-    GroupList, PartitionMatrix, child_row, root_group_list, row_masks, shared_prefix,
-)
+from .gram import StreamCheck
+from .partition import GroupList, PartitionMatrix, child_row, root_group_list, row_mask
 from .solver import RowSystem, build_system, enumerate_solutions
 
 # Above this order the per-matrix verification defaults to off; emitted
@@ -32,16 +30,17 @@ class GenConfig(Frozen):
     """Generation settings.
 
     ``limit`` cuts the stream after exactly that many matrices.
-    ``verify_each`` None means the default policy: verify every emitted
-    matrix for m <= 15, skip above.  ``progress`` writes a status line to
-    stderr (never to the output stream) at the first row entry and then at
-    most once per PROGRESS_PERIOD_S: ``i=<depth> emitted=<count> t=<s>s``.
+    ``verify_each`` None becomes the default policy here, so the field is
+    always a bool: verify every emitted matrix for m <= 15, skip above.
+    ``progress`` writes a status line to stderr (never to the output
+    stream) at the first row entry and then at most once per
+    PROGRESS_PERIOD_S: ``i=<depth> emitted=<count> t=<s>s``.
     """
 
     __slots__ = _fields = ("params", "limit", "verify_each", "progress")
     params: SearchParams
     limit: int | None
-    verify_each: bool | None
+    verify_each: bool
     progress: bool
 
     def __init__(self, params: SearchParams, limit: int | None = None,
@@ -50,14 +49,10 @@ class GenConfig(Frozen):
             raise ValueError(f"limit must be >= 1, got {limit}")
         self._set("params", params)
         self._set("limit", limit)
+        if verify_each is None:
+            verify_each = params.m <= VERIFY_DEFAULT_MAX_ORDER
         self._set("verify_each", verify_each)
         self._set("progress", progress)
-
-    @property
-    def verify_resolved(self) -> bool:
-        if self.verify_each is None:
-            return self.params.m <= VERIFY_DEFAULT_MAX_ORDER
-        return self.verify_each
 
 
 def initial_rows(params: SearchParams) -> tuple[GroupList, GroupList]:
@@ -77,13 +72,10 @@ def iter_matrices(
     """Stream complete matrices in depth-first order.
 
     Deterministic: row candidates follow the solver's enumeration order at
-    every depth.  With verify_each on, every matrix is checked from its row
-    masks before being yielded; a failure aborts with InternalInvariantViolation.
-    Successive matrices share their leading row objects, so the check keeps
-    the last matrix's rows and masks and tests only the rows after the
-    shared prefix, each against all earlier rows (every pair of every
-    matrix is still covered; see gram.is_hadamard_masks).  A failure
-    aborts the stream, so no unchecked prefix is ever taken as good.
+    every depth.  With verify_each on, every matrix goes through one
+    gram.StreamCheck before being yielded, which tests only the rows after
+    the prefix it shares with the matrix before; a failure aborts with
+    InternalInvariantViolation.
 
     ``deadline`` is a time.monotonic() timestamp; the search checks it at
     every extension step and stops cleanly once past it, so wall-clock
@@ -92,7 +84,7 @@ def iter_matrices(
     """
     params = config.params
     m = params.m
-    verify = config.verify_resolved
+    check = StreamCheck(row_mask) if config.verify_each else None
     start = time.monotonic()
     next_status = start if config.progress else None  # time of the next status line
     row1, row2 = initial_rows(params)
@@ -120,18 +112,11 @@ def iter_matrices(
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
-    last: tuple[GroupList, ...] = ()  # the rows of the last matrix checked
-    masks: list[int] = []  # and their masks
     for pm in extend(3, None):
-        if verify:
-            d = shared_prefix(pm.rows, last)
-            del masks[d:]
-            masks += row_masks(pm, d)
-            if not is_hadamard_masks(m, masks, d):
-                raise InternalInvariantViolation(
-                    f"generated matrix {emitted + 1} failed verification"
-                )
-            last = pm.rows
+        if check is not None and not check(pm):
+            raise InternalInvariantViolation(
+                f"generated matrix {emitted + 1} failed verification"
+            )
         yield pm
         emitted += 1
         if config.limit is not None and emitted >= config.limit:

@@ -6,14 +6,13 @@ off it.  The same pattern on the column Gram matrix is an equivalent
 characterization; both are exposed so tests can assert the duality instead
 of trusting it.
 
-A stream of matrices is checked row by new row: is_hadamard_masks takes
-the rows a matrix shares with the last one that passed as checked, and
-tests only the rows after them against every earlier row.
+A stream of matrices is checked by one StreamCheck, row by new row.
 """
 
 from __future__ import annotations
 
 from .core import BitMatrix, dot, pack_row
+from .partition import shared_prefix
 
 
 def gram_rows(t: BitMatrix) -> tuple[tuple[int, ...], ...]:
@@ -42,11 +41,7 @@ def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
 
     Rows before index ``start`` are taken as already checked, weights and
     pairs, so each row from ``start`` on is tested for weight 2q and for
-    overlap q with every earlier row.  A stream of matrices that share
-    leading rows passes the length of the prefix it shares with the last
-    matrix that passed; after a False verdict that prefix is not known to
-    be good (the check stops at the first bad pair), so the next matrix
-    starts again from 0.
+    overlap q with every earlier row.
     """
     if m < 3 or m % 4 != 3 or len(masks) != m:
         return False
@@ -60,3 +55,29 @@ def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
             if (u & v).bit_count() != a:
                 return False
     return True
+
+
+class StreamCheck:
+    """is_hadamard_masks over a stream of matrices, called on each in turn.
+
+    ``mask`` turns a row into its int mask: ``partition.row_mask`` for a
+    PartitionMatrix, ``core.pack_row`` for a BitMatrix.  Only the rows
+    after the prefix a matrix shares with the last one that passed are
+    masked and tested, each against every earlier row.  A False verdict
+    leaves nothing to reuse, since the test stops at its first bad pair.
+    """
+
+    def __init__(self, mask):
+        self.mask = mask
+        self.rows: tuple = ()  # the rows of the last matrix that passed
+        self.masks: list[int] = []  # and their masks
+
+    def __call__(self, t) -> bool:
+        rows = t.rows
+        d = shared_prefix(rows, self.rows)
+        masks = self.masks
+        del masks[d:]
+        masks += map(self.mask, rows[d:])
+        ok = is_hadamard_masks(t.m, masks, d)
+        self.rows = rows if ok else ()
+        return ok

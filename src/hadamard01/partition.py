@@ -141,19 +141,16 @@ def decode_matrix(
     return BitMatrix(decoded + tuple(decode_row(g) for g in p.rows[d:]))
 
 
-def row_masks(p: PartitionMatrix, start: int = 0) -> list[int]:
-    """Every row from index ``start`` on as an int mask, straight from its
-    runs: the masks ``core.pack_row`` gives for the decoded rows (leftmost
-    column most significant), without building the bits."""
-    masks = []
-    for g in p.rows[start:]:
-        mask = 0
-        for label, count in g:
-            mask <<= count
-            if not label & 1:
-                mask |= (1 << count) - 1
-        masks.append(mask)
-    return masks
+def row_mask(g: GroupList) -> int:
+    """One row as an int mask, straight from its runs: the mask
+    ``core.pack_row`` gives for the decoded row (leftmost column most
+    significant), without building the bits."""
+    mask = 0
+    for label, count in g:
+        mask <<= count
+        if not label & 1:
+            mask |= (1 << count) - 1
+    return mask
 
 
 def canonicalize(t: BitMatrix) -> BitMatrix:

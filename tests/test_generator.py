@@ -98,15 +98,15 @@ def test_limit_must_be_positive():
 
 
 def test_verify_policy_defaults():
-    assert GenConfig(validate_order(15)).verify_resolved
-    assert not GenConfig(validate_order(19)).verify_resolved
-    assert GenConfig(validate_order(19), verify_each=True).verify_resolved
+    assert GenConfig(validate_order(15)).verify_each is True
+    assert GenConfig(validate_order(19)).verify_each is False
+    assert GenConfig(validate_order(19), verify_each=True).verify_each is True
 
 
 def test_verification_failure_aborts(monkeypatch):
-    import hadamard01.generator as generator_module
+    import hadamard01.gram as gram_module
 
-    monkeypatch.setattr(generator_module, "is_hadamard_masks", lambda m, masks, start: False)
+    monkeypatch.setattr(gram_module, "is_hadamard_masks", lambda m, masks, start: False)
     with pytest.raises(InternalInvariantViolation):
         list(iter_matrices(GenConfig(validate_order(7), verify_each=True)))
 

@@ -15,7 +15,7 @@ from hadamard01 import (
 )
 from hadamard01.core import pack_row
 from hadamard01.gram import is_hadamard_masks
-from hadamard01.partition import row_masks
+from hadamard01.partition import row_mask
 
 ZO3 = BitMatrix.of([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -140,7 +140,7 @@ def test_row_column_duality_on_generated_matrices(m7_matrices):
 
 def assert_mask_check_matches_decoded(pm):
     t = decode_matrix(pm)
-    masks = row_masks(pm)
+    masks = [row_mask(g) for g in pm.rows]
     assert masks == [pack_row(row) for row in t.rows]
     assert is_hadamard_masks(pm.m, masks) == is_hadamard_zo(t)
 
@@ -148,7 +148,7 @@ def assert_mask_check_matches_decoded(pm):
 def test_mask_check_matches_decoded_check_on_generated_matrices(m7_matrices, known15):
     for pm in m7_matrices:
         assert_mask_check_matches_decoded(pm)
-        assert is_hadamard_masks(7, row_masks(pm))
+        assert is_hadamard_masks(7, [row_mask(g) for g in pm.rows])
     assert_mask_check_matches_decoded(encode_matrix(known15))
 
 

@@ -1,7 +1,8 @@
-"""Per-row reuse across a stream: the Gram check, the grouplist reader, the
-encoder and the decoder keep the last record's rows and redo only the rows
-after the prefix a record shares with it.  Every verdict, record and error
-must be what the same record gives on its own."""
+"""Per-row reuse across a stream: the Gram check (one gram.StreamCheck for
+``generate`` and for grouplist and dense01 ``verify``), the grouplist
+reader, the encoder and the decoder keep the last record's rows and redo
+only the rows after the prefix a record shares with it.  Every verdict,
+record and error must be what the same record gives on its own."""
 
 import io
 import random
@@ -14,11 +15,11 @@ from hadamard01 import (
 from hadamard01.cli import _verify_records, main
 from hadamard01.core import BitMatrix, FormatError, NonCanonicalRow
 from hadamard01.formats import grouplist_record, parse_grouplist, write_dense01, write_grouplist
-from hadamard01.gram import is_hadamard_masks
+from hadamard01.gram import is_hadamard_masks, is_hadamard_zo
 from hadamard01.partition import (
     PartitionMatrix,
     child_row,
-    row_masks,
+    row_mask,
     shared_prefix,
     validate_partition_matrix,
 )
@@ -36,6 +37,10 @@ SHARED_7 = (
 )
 BAD_ROW_7 = "[[23,1],[27,1],[39,1],[43,1],[67,1],[77,1],[113,1]]]"
 GOOD_ROW_7 = "[[23,1],[26,1],[38,1],[43,1],[67,1],[76,1],[112,1]]]"
+
+
+def row_masks(pm):
+    return [row_mask(g) for g in pm.rows]
 
 
 def full_check(pm):
@@ -76,6 +81,12 @@ def grouplist_text(matrices):
     return out.getvalue()
 
 
+def dense01_text(matrices):
+    out = io.StringIO()
+    write_dense01(out, map(decode_matrix, matrices))
+    return out.getvalue()
+
+
 @pytest.fixture(scope="module")
 def streams(m7_matrices, m11_head):
     return {7: with_copies(m7_matrices, 1), 11: with_copies(m11_head, 2)}
@@ -84,13 +95,18 @@ def streams(m7_matrices, m11_head):
 # the Gram check ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fmt", ["grouplist", "dense01"])
 @pytest.mark.parametrize("m", [7, 11])
-def test_verify_gives_the_full_check_verdict_on_every_record(streams, m):
+def test_verify_gives_the_full_check_verdict_on_every_record(streams, m, fmt):
     stream = streams[m]
-    expected = [full_check(pm) for pm in stream]
+    if fmt == "grouplist":
+        expected = [full_check(pm) for pm in stream]
+        text = grouplist_text(stream)
+    else:
+        expected = [is_hadamard_zo(decode_matrix(pm)) for pm in stream]
+        text = dense01_text(stream)
     assert True in expected and False in expected
-    lines = io.StringIO(grouplist_text(stream))
-    assert [ok for _, ok in _verify_records(lines, "grouplist")] == expected
+    assert [ok for _, ok in _verify_records(io.StringIO(text), fmt)] == expected
 
 
 def test_start_takes_the_prefix_as_checked():
@@ -102,8 +118,9 @@ def test_start_takes_the_prefix_as_checked():
     assert not is_hadamard_masks(3, [0b110, 0b101, 0b111], 2)
 
 
-def test_generator_checks_every_row_of_every_matrix(monkeypatch):
-    import hadamard01.generator as generator_module
+def spy_on_gram_check(monkeypatch):
+    """The (masks, start) of every gram.is_hadamard_masks call from now on."""
+    import hadamard01.gram as gram_module
 
     seen = []
 
@@ -111,12 +128,41 @@ def test_generator_checks_every_row_of_every_matrix(monkeypatch):
         seen.append((list(masks), start))
         return is_hadamard_masks(m, masks, start)
 
-    monkeypatch.setattr(generator_module, "is_hadamard_masks", spy)
+    monkeypatch.setattr(gram_module, "is_hadamard_masks", spy)
+    return seen
+
+
+def test_generator_checks_every_row_of_every_matrix(monkeypatch):
+    seen = spy_on_gram_check(monkeypatch)
     matrices = list(iter_matrices(GenConfig(validate_order(11), limit=300, verify_each=True)))
     assert [masks for masks, _ in seen] == [row_masks(pm) for pm in matrices]
     starts = [shared_prefix(pm.rows, last.rows) for last, pm in zip(matrices, matrices[1:])]
     assert [start for _, start in seen] == [0, *starts]
     assert min(starts) >= 2
+
+
+def test_generate_and_verify_make_the_same_gram_checks(tmp_path, monkeypatch):
+    # one check for every {0,1} stream: the search, the grouplist file it
+    # writes and that file's dense01 form test the same rows from the same start
+    seen = spy_on_gram_check(monkeypatch)
+    grouplist, dense = str(tmp_path / "m11.gl"), str(tmp_path / "m11.d01")
+    calls = {}
+    for name, argv in [
+        ("generate", ["generate", "-m", "11", "--limit", "500", "-o", grouplist]),
+        ("convert", ["convert", grouplist, "--from", "grouplist", "--to", "dense01",
+                     "-o", dense]),
+        ("grouplist verify", ["verify", grouplist]),
+        ("dense01 verify", ["verify", "--format", "dense01", dense]),
+    ]:
+        seen.clear()
+        assert main(argv) == 0, name
+        calls[name] = list(seen)
+    assert calls.pop("convert") == []
+    assert len(calls["generate"]) == 500
+    assert calls["grouplist verify"] == calls["generate"]
+    assert calls["dense01 verify"] == calls["generate"]
+    starts = [start for _, start in calls["generate"]]
+    assert starts[0] == 0 and min(starts[1:]) >= 2
 
 
 @pytest.mark.parametrize("records, expected", [

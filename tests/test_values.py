@@ -25,7 +25,7 @@ VALUES = {
     "SearchParams": (lambda: validate_order(7), "SearchParams(m=7, q=2, b=4)", "q"),
     "GenConfig": (lambda: GenConfig(validate_order(7), limit=5),
                   "GenConfig(params=SearchParams(m=7, q=2, b=4), limit=5, "
-                  "verify_each=None, progress=False)", "limit"),
+                  "verify_each=True, progress=False)", "limit"),
     "RowSystem": (lambda: RowSystem(3, (1, 1), (((0, 1), 1),)),
                   "RowSystem(i=3, bounds=(1, 1), equations=(((0, 1), 1),))", "prev"),
 }

@@ -181,11 +181,7 @@ def validate_order(m: int) -> SearchParams:
     if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 4 != 3:
         raise InvalidOrder(f"m={m} is incorrect size for Hadamard matrices")
     q = (m + 1) // 4
-    params = SearchParams(m=m, q=q, b=2 * q)
-    assert params.m % 4 == 3 and params.m >= 3
-    assert params.q == (params.m + 1) // 4
-    assert params.b == 2 * params.q
-    return params
+    return SearchParams(m=m, q=q, b=2 * q)
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

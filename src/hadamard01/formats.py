@@ -56,16 +56,6 @@ def _render_row(g: GroupList) -> str:
     return "[" + ",".join(f"[{label},{count}]" for label, count in g) + "]"
 
 
-def render_grouplist(pm: PartitionMatrix) -> str:
-    """The compact nested-list body of a record, no whitespace."""
-    return "[" + ",".join(map(_render_row, pm.rows)) + "]"
-
-
-def grouplist_record(pm: PartitionMatrix, index: int) -> str:
-    """One canonical record line: HM_<m>_<index>:<body>$"""
-    return f"HM_{pm.m}_{index}:{render_grouplist(pm)}$"
-
-
 def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
     """Write canonical record lines.  Successive matrices of a depth-first
     search share the row objects of their common prefix, so the leading

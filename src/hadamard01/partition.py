@@ -14,7 +14,7 @@ that violate this; canonicalize() reorders columns to repair it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import BitMatrix, NonCanonicalRow
 
@@ -43,7 +43,7 @@ def decode_row(g: GroupList) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def child_row(parent: GroupList, k: tuple[int, ...]) -> GroupList:
+def child_row(parent: GroupList, k: Sequence[int]) -> GroupList:
     """Refine ``parent`` by k_s ones per group: group s splits into
     (2l_s, k_s) and (2l_s+1, count_s - k_s), zero counts omitted."""
     groups: list[Group] = []
@@ -76,7 +76,7 @@ def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
         raise NonCanonicalRow(
             f"row length {len(bits)} does not match parent span total {pos}"
         )
-    return child_row(parent, tuple(ks))
+    return child_row(parent, ks)
 
 
 def shared_prefix(rows, last) -> int:
@@ -166,37 +166,31 @@ def canonicalize(t: BitMatrix) -> BitMatrix:
 
 
 def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
-    """Check that every row refines the row above it (row 1 the root
+    """Check that every row refines the row above it (row 0 is the root
     group of all m columns); raises ValueError naming the first bad row.
 
-    One walk per row beside its parent: for each parent group (l, c) in
-    order, the row holds the children (2l, a) then (2l+1, c-a), each only
-    if its count is positive, and nothing else.  Label order, label range
-    and the row total m follow from the parent's.  Rows before index
+    Row i must equal ``child_row(row i-1, k)``, with k_s the count of its
+    own child 2l_s (0 if absent), and hold no count below 1: a count above
+    its parent's rebuilds as a negative sibling.  Rows before index
     ``start`` are taken as checked: a row's validity depends only on its
     parent row and m, so rows shared with a record already validated at
-    the same m need no second look.
+    the same m need no second look.  The row count is checked last, so a
+    wrong m (the reader takes it from row 1) is reported at the bad row.
     """
-    if len(p.rows) != p.m:
-        raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")
     parent = p.rows[start - 1] if start else root_group_list(p.m)
     for i, groups in enumerate(p.rows[start:], start=start + 1):
-        j = 0
-        for label, count in parent:
-            left = count
-            for child in (2 * label, 2 * label + 1):
-                if j < len(groups) and groups[j][0] == child:
-                    if groups[j][1] < 1:
-                        raise ValueError(f"row {i}: group {groups[j]} has nonpositive count")
-                    left -= groups[j][1]
-                    j += 1
-            if left:
-                raise ValueError(
-                    f"row {i}: children of group {label} of row {i - 1} "
-                    f"count {count - left}, not {count}"
-                )
-        if j < len(groups):
+        counts = dict(groups)
+        rebuilt = child_row(parent, [counts.get(2 * label, 0) for label, _ in parent])
+        if groups != rebuilt:
+            j = shared_prefix(groups, rebuilt)
+            found = groups[j] if j < len(groups) else "nothing"
+            want = rebuilt[j] if j < len(rebuilt) else "nothing"
             raise ValueError(
-                f"row {i}: group {groups[j][0]} is not the next child of a group of row {i - 1}"
+                f"row {i}: group {j + 1} is {found} where refining row {i - 1} gives {want}"
             )
+        if min(counts.values(), default=1) < 1:
+            bad = next(g for g in groups if g[1] < 1)
+            raise ValueError(f"row {i}: group {bad} has nonpositive count")
         parent = groups
+    if len(p.rows) != p.m:
+        raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")

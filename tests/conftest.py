@@ -3,11 +3,13 @@ group-list encoding, and small test oracles."""
 
 from __future__ import annotations
 
+import io
 import itertools
 
 import pytest
 
 from hadamard01 import BitMatrix, validate_order
+from hadamard01.formats import write_grouplist
 from hadamard01.solver import RowSystem
 
 # A 15x15 Hadamard matrix in {0,1} form whose rows 1-2 are in the canonical
@@ -79,6 +81,14 @@ KNOWN_3_GROUPS = (
 
 def bits(s: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in s)
+
+
+def grouplist_lines(matrices) -> list[str]:
+    """The record lines ``write_grouplist`` writes for ``matrices``
+    (named HM_<m>_1, HM_<m>_2, ...), without their line breaks."""
+    out = io.StringIO()
+    write_grouplist(out, matrices)
+    return out.getvalue().splitlines()
 
 
 @pytest.fixture(scope="session")

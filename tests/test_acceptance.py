@@ -28,12 +28,12 @@ from hadamard01 import (
     verify_sign_hadamard,
 )
 from hadamard01.cli import main as cli_main
-from hadamard01.formats import parse_grouplist, render_grouplist
+from hadamard01.formats import parse_grouplist
 from hadamard01.gram import gram_cols, gram_rows
 from hadamard01.oracle import brute_force_canonical
 from hadamard01.solver import build_system, enumerate_solutions
 
-from conftest import KNOWN_15_LISTING, brute_force_solutions, walk_systems
+from conftest import KNOWN_15_LISTING, brute_force_solutions, grouplist_lines, walk_systems
 
 
 def _report(num: int, label: str, detail: str) -> None:
@@ -178,7 +178,7 @@ def test_criterion_6_encoding_fidelity(known15):
     assert decode_matrix(listing) == known15
     # serialized form is byte-identical to the compact rendering of the
     # reference listing
-    assert render_grouplist(encoded) == render_grouplist(listing)
+    assert grouplist_lines([encoded]) == grouplist_lines([listing])
     target = tuple(
         tuple(8 if i == j else 4 for j in range(15)) for i in range(15)
     )

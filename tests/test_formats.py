@@ -19,24 +19,22 @@ from hadamard01 import (
 )
 from hadamard01.core import FormatError
 from hadamard01.formats import (
-    grouplist_record,
     parse_dense01,
     parse_densepm,
     parse_grouplist,
-    render_grouplist,
     write_dense01,
     write_densepm,
     write_grouplist,
 )
 
-from conftest import KNOWN_15_LISTING
+from conftest import KNOWN_15_LISTING, grouplist_lines
 
 
 def test_golden_record_m3():
     pm = next(iter_matrices(GenConfig(validate_order(3))))
-    assert grouplist_record(pm, 1) == (
+    assert grouplist_lines([pm]) == [
         "HM_3_1:[[[0,2],[1,1]],[[0,1],[1,1],[2,1]],[[1,1],[2,1],[4,1]]]$"
-    )
+    ]
 
 
 def test_grouplist_round_trip(m7_matrices):
@@ -51,12 +49,14 @@ def test_writer_reuses_row_text_only_for_the_same_objects(m7_matrices, known15):
     # search output shares prefix rows, a repeat shares every row, and
     # parsed copies and other orders share none
     m3 = next(iter_matrices(GenConfig(validate_order(3))))
-    copies = [pm for _, pm in parse_grouplist(io.StringIO(grouplist_record(m7_matrices[1], 1)))]
+    copies = [pm for _, pm in parse_grouplist(grouplist_lines(m7_matrices[1:2]))]
     stream = [*m7_matrices, m7_matrices[-1], *copies, m3, encode_matrix(known15), m3]
     out = io.StringIO()
     assert write_grouplist(out, stream) == len(stream)
+    # each record as a writer with nothing to reuse renders it
     assert out.getvalue() == "".join(
-        grouplist_record(pm, k) + "\n" for k, pm in enumerate(stream, 1)
+        f"HM_{pm.m}_{k}:" + grouplist_lines([pm])[0].split(":", 1)[1] + "\n"
+        for k, pm in enumerate(stream, 1)
     )
 
 
@@ -70,9 +70,10 @@ def test_parser_accepts_wrapped_listing(known15):
 
 
 def test_render_is_whitespace_free(known15):
-    body = render_grouplist(encode_matrix(known15))
+    [line] = grouplist_lines([encode_matrix(known15)])
+    body = line.split(":", 1)[1]
     assert " " not in body and "\n" not in body
-    reparsed = list(parse_grouplist(io.StringIO(f"X:{body}$")))
+    reparsed = list(parse_grouplist(io.StringIO(f"X:{body}")))
     assert reparsed[0][1] == encode_matrix(known15)
 
 
@@ -91,6 +92,14 @@ def test_parse_rejects_refinement_breaks():
     bad = "X:[[[0,2],[1,1]],[[0,1],[1,1],[5,1]]]$"
     with pytest.raises(FormatError):
         list(parse_grouplist(io.StringIO(bad)))
+
+
+@pytest.mark.parametrize("text", ["X:[[[0,0]]]$", "X:[[[0, 0]]]$"])
+def test_zero_count_in_row_1_is_reported_at_its_row(text):
+    # m is read off row 1's counts, here 0; both reader paths must name the
+    # bad row rather than the row count that the wrong m implies
+    with pytest.raises(FormatError, match=r"^line 1: record X: row 1: "):
+        list(parse_grouplist(io.StringIO(text)))
 
 
 def test_parse_rejects_truncated_record():
@@ -122,7 +131,7 @@ def test_long_line_of_records_parses_in_bounded_memory(m7_matrices):
     # records on one line go to the tokenizer, which reads tokens only as
     # far as the parser looks: peak memory is about one record, not the line
     records = itertools.islice(itertools.cycle(m7_matrices), 1000)
-    line = " ".join(grouplist_record(pm, k) for k, pm in enumerate(records, 1)) + "\n"
+    line = " ".join(grouplist_lines(records)) + "\n"
     tracemalloc.start()
     try:
         parsed = sum(1 for _ in parse_grouplist([line]))
@@ -134,7 +143,7 @@ def test_long_line_of_records_parses_in_bounded_memory(m7_matrices):
 
 
 def test_tokenizer_reports_a_bad_character_after_whole_records(m7_matrices):
-    line = " ".join(grouplist_record(pm, k) for k, pm in enumerate(m7_matrices[:3], 1))
+    line = " ".join(grouplist_lines(m7_matrices[:3]))
     got = []
     with pytest.raises(FormatError, match="unexpected character '#'") as exc:
         got.extend(parse_grouplist(io.StringIO(f"{line}\n{line} #\n")))
@@ -149,7 +158,7 @@ _GROUPLIST_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[\[\],:$]")
 def test_wrapped_record_parses_like_its_canonical_line(m7_matrices, data):
     k = data.draw(st.integers(1, len(m7_matrices)))
     pm = m7_matrices[k - 1]
-    toks = _GROUPLIST_TOKEN.findall(grouplist_record(pm, k))
+    toks = _GROUPLIST_TOKEN.findall(grouplist_lines(m7_matrices[:k])[-1])
     seps = data.draw(st.lists(st.text(" \t\n", max_size=2),
                               min_size=len(toks), max_size=len(toks)))
     text = "".join(sep + tok for sep, tok in zip(seps, toks))
@@ -159,7 +168,7 @@ def test_wrapped_record_parses_like_its_canonical_line(m7_matrices, data):
 def _mixed_file(m7_matrices):
     """Records 1-2 canonical, 3 wrapped over lines 3-9, 4 and 5 on line 10,
     6 and 7 canonical on lines 11-12."""
-    lines = [grouplist_record(pm, k) for k, pm in enumerate(m7_matrices[:7], 1)]
+    lines = grouplist_lines(m7_matrices[:7])
     wrapped = lines[2].replace("]],", "]],\n  ")
     assert wrapped.count("\n") == 6
     return [lines[0], lines[1], wrapped, lines[3] + " " + lines[4], lines[5], lines[6]]

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every private (``_name``)
+name it defines at module level, is used in that module.
 
-A stdlib stand-in for a linter's unused-import rule: a leftover import
-after a refactor fails here.  ``__init__.py`` is left out, since its
-imports are the package's public names.
+A stdlib stand-in for a linter's unused-name rules: a leftover import or
+helper after a refactor fails here.  ``__init__.py`` is left out, since
+its imports are the package's public names.
 """
 
 import ast
@@ -29,11 +30,52 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments that the
+    module never loads (dunder names such as ``__all__`` are left out)."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in loaded]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_used(module):
+    assert unused_private_names((PACKAGE / module).read_text()) == []
+
+
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys\nfrom typing import Iterator, List\nx: List = sys.argv\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Iterator"]
+
+
+def test_an_unused_private_name_is_reported():
+    source = (
+        "__all__ = ['f']\n"
+        "_A = 1\n"
+        "_B: int = 2\n"
+        "def _unused(): return _A\n"
+        "class _Used: pass\n"
+        "def f(): return _Used()\n"
+        "_B = 3\n"
+    )
+    assert unused_private_names(source) == ["line 3: _B", "line 4: _unused"]

@@ -15,6 +15,7 @@ from hadamard01 import (
 )
 from hadamard01.partition import (
     PartitionMatrix,
+    child_row,
     root_group_list,
     validate_partition_matrix,
 )
@@ -179,6 +180,29 @@ def test_validate_rejects_bad_child_counts():
     )
     with pytest.raises(ValueError):
         validate_partition_matrix(PartitionMatrix(3, rows))
+
+
+def test_validate_rejects_a_count_above_its_parents():
+    # group 0 takes 4 of the root's 3 columns; the row rebuilds as itself,
+    # since its sibling takes the count -1, so only the count check sees it
+    rows = (((0, 4), (1, -1)), ((0, 1), (1, 1), (2, 1)), ((1, 1), (2, 1), (4, 1)))
+    assert child_row(root_group_list(3), (4,)) == rows[0]
+    with pytest.raises(ValueError, match=r"^row 1: group \(1, -1\) has nonpositive count$"):
+        validate_partition_matrix(PartitionMatrix(3, rows))
+
+
+@pytest.mark.parametrize("row, message", [
+    (((0, 2), (1, 2), (2, 2), (3, 2)), "group 4 is (3, 2) where refining row 1 gives (3, 1)"),
+    (((0, 2), (1, 2), (2, 2)), "group 4 is nothing where refining row 1 gives (3, 1)"),
+    (((0, 2), (1, 2), (2, 2), (3, 1), (4, 1)),
+     "group 5 is (4, 1) where refining row 1 gives nothing"),
+], ids=["wrong", "missing", "extra"])
+def test_validate_names_the_first_group_that_differs(m7_matrices, row, message):
+    pm = m7_matrices[0]
+    assert pm.rows[1] == ((0, 2), (1, 2), (2, 2), (3, 1))
+    with pytest.raises(ValueError) as exc:
+        validate_partition_matrix(PartitionMatrix(7, pm.rows[:1] + (row,) + pm.rows[2:]))
+    assert str(exc.value) == f"row 2: {message}"
 
 
 def test_random_column_shuffles_canonicalize_to_same_matrix(known15):

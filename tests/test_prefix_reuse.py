@@ -14,7 +14,7 @@ from hadamard01 import (
 )
 from hadamard01.cli import _verify_records, main
 from hadamard01.core import BitMatrix, FormatError, NonCanonicalRow
-from hadamard01.formats import grouplist_record, parse_grouplist, write_dense01, write_grouplist
+from hadamard01.formats import parse_grouplist, write_dense01, write_grouplist
 from hadamard01.gram import is_hadamard_masks, is_hadamard_zo
 from hadamard01.partition import (
     PartitionMatrix,
@@ -23,6 +23,8 @@ from hadamard01.partition import (
     shared_prefix,
     validate_partition_matrix,
 )
+
+from conftest import grouplist_lines
 
 # consistent group lists that are not a Hadamard matrix: rows 1 and 2 overlap in 2
 NOT_HADAMARD = "[[[0,2],[1,1]],[[0,2],[3,1]],[[0,1],[1,1],[6,1]]]"
@@ -207,7 +209,7 @@ def test_reader_matches_lines_alone_on_a_shuffled_m11_sample(m11_head, streams):
 
 def test_reader_reuses_only_canonical_records(m7_matrices):
     # a wrapped record between two canonical ones neither breaks nor feeds reuse
-    first, second, third = (grouplist_record(pm, k) for k, pm in enumerate(m7_matrices[:3], 1))
+    first, second, third = grouplist_lines(m7_matrices[:3])
     wrapped = second.replace("],[[", "],\n [[")
     text = f"{first}\n{wrapped}\n{third}\n"
     records = list(parse_grouplist(io.StringIO(text)))
@@ -216,11 +218,11 @@ def test_reader_reuses_only_canonical_records(m7_matrices):
 
 
 def test_shared_prefix_does_not_hide_a_later_refinement_error(m7_matrices):
-    good = grouplist_record(m7_matrices[0], 1)
+    good = grouplist_lines(m7_matrices[:1])[0]
     rows = good[good.index(":[") + 3:-3].split("]],[[")
     # row 5 of a matrix whose row 4 differs: its labels have other parents
     other = next(pm for pm in m7_matrices if pm.rows[3] != m7_matrices[0].rows[3])
-    bad_row = grouplist_record(other, 2).split(":[")[1][2:-3].split("]],[[")[4]
+    bad_row = grouplist_lines([other])[0].split(":[")[1][2:-3].split("]],[[")[4]
     assert bad_row != rows[4]
     bad = "HM_7_2:[[" + "]],[[".join(rows[:4] + [bad_row] + rows[5:]) + "]]$"
     with pytest.raises(FormatError) as whole:
@@ -248,8 +250,7 @@ def test_validate_from_start_checks_only_later_rows(m7_matrices):
 def test_every_row_producer_gives_equal_plain_tuples(m7_matrices):
     # shared_prefix compares rows across producers, so a row wrapped in
     # another type on one path would silently stop matching the others
-    wrapped = "\n".join(grouplist_record(pm, k).replace("],[", "],\n[")
-                        for k, pm in enumerate(m7_matrices, 1))
+    wrapped = "\n".join(line.replace("],[", "],\n[") for line in grouplist_lines(m7_matrices))
     producers = {
         "search": m7_matrices,  # initial_rows, then child_row
         "encoder": [encode_matrix(decode_matrix(pm)) for pm in m7_matrices],

@@ -3,10 +3,11 @@
 Three record formats, all line-oriented ASCII:
 
 grouplist   one record per line, ``HM_<m>_<k>:<nested lists>$`` with no
-            interior whitespace.  The parser is tolerant: whitespace and
-            line breaks may appear anywhere between tokens, record names
-            are any identifier, so hand-wrapped listings parse too.  A
-            line holding exactly one record takes a one-regex fast path.
+            interior whitespace.  The parser is tolerant: ASCII
+            whitespace and line breaks may appear anywhere between tokens,
+            record names are any identifier, so hand-wrapped listings parse
+            too.  A record with no interior whitespace is read by one regex
+            match, wherever it sits on its line.
 dense01     one matrix per block, rows as contiguous 0/1 characters, one
             row per line, blocks separated by a blank line.
 densepm     same block layout with entries + and - for +1 and -1.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import BitMatrix, FormatError, SignMatrix
 from .partition import (
@@ -33,13 +34,16 @@ from .partition import (
 
 FORMATS = ("grouplist", "dense01", "densepm")
 
-# ASCII digits only: \d and int() would take other scripts' digits too
-_TOKEN = re.compile(r"([ \t]+)|(\n)|([\[\],:$])|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)")
+_SPACE = " \t\n\r\f\v"  # ASCII whitespace: str.strip() and \s would take Unicode spaces too
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+# whitespace, then a token if one follows; ASCII digits only: \d and int()
+# would take other scripts' digits too
+_TOKEN = re.compile(rf"[{_SPACE}]*([\[\],:$]|[0-9]+|{_NAME})?")
 # numbers short enough for int(); a longer one goes to the tokenizer, which reports it
 _PAIR = r"\[[0-9]{1,999},[0-9]{1,999}\]"
 _ROW = rf"\[{_PAIR}(?:,{_PAIR})*\]"
-# one whole record on one line, as the writer emits it: (name, rows)
-_RECORD = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*):\[({_ROW}(?:,{_ROW})*)\]\$\n?")
+# whitespace, then one record as the writer emits it if one follows: (name, rows)
+_RECORD = re.compile(rf"[{_SPACE}]*(?:({_NAME}):\[({_ROW}(?:,{_ROW})*)\]\$)?")
 
 
 def _bad_char(ch: str, message: str, line: int) -> FormatError:
@@ -76,12 +80,12 @@ def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
 
 
 class _Tokens:
-    """Token stream over numbered lines of a record file.
+    """A cursor over the numbered lines of a record file: the line being
+    read, its number and a position in it, plus one token of lookahead.
 
     Tokens are read one at a time, only as far as the parser looks, so a
     long line of many records is parsed in memory bounded by one record.
-    A line is pulled from ``lines`` only when the tokens of the lines
-    before it are used up.
+    A line is pulled from ``lines`` only when the line before it is used up.
     """
 
     def __init__(self, lines: Iterator[tuple[int, str]]):
@@ -92,29 +96,25 @@ class _Tokens:
         self.tok: str | None = None  # the next token, once read ahead
         self.line = 1  # the line of the last token read
 
-    def feed(self, text: str, line: int) -> None:
-        """Read tokens from this line next."""
-        self.text, self.at, self.pos = text, line, 0
-
-    def buffered(self) -> bool:
-        """Whether the line being read has a token left (read ahead)."""
-        text = self.text
-        while self.tok is None and self.pos < len(text):
-            match = _TOKEN.match(text, self.pos)
-            if match is None:
-                ch = text[self.pos]
-                raise _bad_char(ch, f"unexpected character {ch!r}", self.at)
-            self.pos = match.end()
-            if match.lastindex > 2:  # not whitespace or a line break
-                self.tok, self.line = match.group(), self.at
-        return self.tok is not None
+    def pull(self) -> bool:
+        """Read the next line from its start; False at the end of the file."""
+        self.at, text = next(self.lines, (self.at, None))
+        if text is None:
+            return False
+        self.text, self.pos = text, 0
+        return True
 
     def peek(self) -> str | None:
-        while not self.buffered():
-            line, text = next(self.lines, (0, None))
-            if text is None:
+        while self.tok is None:
+            match = _TOKEN.match(self.text, self.pos)
+            self.pos = match.end()
+            if match.lastindex:
+                self.tok, self.line = match[1], self.at
+            elif self.pos < len(self.text):
+                ch = self.text[self.pos]
+                raise _bad_char(ch, f"unexpected character {ch!r}", self.at)
+            elif not self.pull():
                 return None
-            self.feed(text, line)
         return self.tok
 
     def take(self, expected: str | None = None) -> str:
@@ -138,10 +138,12 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
     """Parse the records of a grouplist file into (name, matrix) pairs,
     pulling lines only as far as the record being yielded.
 
-    A line that is one canonical record is matched whole by ``_RECORD``;
-    any other line goes to the tolerant tokenizer, which reads on until
-    its record ends.  Raises FormatError (with line number) on malformed
-    syntax and on group lists that violate the refinement invariants.
+    At each record boundary ``_RECORD`` tries the text at the cursor: a
+    canonical record, one with no interior whitespace, is matched whole
+    wherever it sits on its line.  Only when that match fails does the
+    record go to the tolerant tokenizer, which reads on until it ends.
+    Raises FormatError (with line number) on malformed syntax and on
+    group lists that violate the refinement invariants.
 
     Successive canonical records share leading rows, as a depth-first
     search writes them.  The leading rows whose text equals that of the
@@ -153,12 +155,13 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
     per-row work, such as the writer and the Gram check of ``verify``,
     redo only the new rows too.
     """
-    numbered = enumerate(lines, start=1)
-    toks = _Tokens(numbered)  # shares the line iterator with this loop
+    toks = _Tokens(enumerate(lines, start=1))
     last: list[str] = []  # the row texts of the last canonical record
     rows: list[GroupList] = []  # and its rows
-    for line, text in numbered:
-        if match := _RECORD.fullmatch(text):
+    while True:
+        match = _RECORD.match(toks.text, toks.pos)
+        if match[1]:
+            toks.pos = match.end()
             texts = match[2][2:-2].split("]],[[")
             d = shared_prefix(texts, last)
             rows = rows[:d]
@@ -166,34 +169,46 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
                 nums = map(int, row.replace("],[", ",").split(","))
                 rows.append(tuple(zip(nums, nums)))  # (label, count)
             last = texts
-            yield _checked(match[1], rows, line, d)
-            continue
-        toks.feed(text, line)
-        while toks.buffered():
+            yield _checked(match[1], rows, toks.at, d)
+        elif match.end() < len(toks.text):
             yield _parse_record(toks)
+        elif not toks.pull():
+            return
 
 
 def _parse_record(toks: _Tokens) -> tuple[str, PartitionMatrix]:
-    start_line = toks.line
     name = toks.take()
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise FormatError(f"expected record name, found {name!r}", line=start_line)
+    line = toks.line
+    if not re.fullmatch(_NAME, name):
+        raise FormatError(f"expected record name, found {name!r}", line=line)
     toks.take(":")
-    rows = []
-    toks.take("[")
-    while True:
-        rows.append(_parse_row(toks))
-        if toks.peek() == ",":
-            toks.take(",")
-            continue
-        break
-    toks.take("]")
+    rows = _parse_list(toks, lambda toks: _parse_list(toks, _parse_pair))
     toks.take("$")
-    return _checked(name, rows, start_line)
+    return _checked(name, rows, line)
+
+
+def _parse_list(toks: _Tokens, item) -> tuple:
+    """A bracketed, comma-separated list of one or more ``item``s."""
+    toks.take("[")
+    items = [item(toks)]
+    while toks.peek() == ",":
+        toks.take()
+        items.append(item(toks))
+    toks.take("]")
+    return tuple(items)
+
+
+def _parse_pair(toks: _Tokens) -> tuple[int, int]:
+    toks.take("[")
+    label = toks.number()
+    toks.take(",")
+    count = toks.number()
+    toks.take("]")
+    return label, count
 
 
 def _checked(
-    name: str, rows: list[GroupList], line: int, start: int = 0
+    name: str, rows: Sequence[GroupList], line: int, start: int = 0
 ) -> tuple[str, PartitionMatrix]:
     m = sum(count for _, count in rows[0])
     pm = PartitionMatrix(m, tuple(rows))
@@ -204,29 +219,10 @@ def _checked(
     return name, pm
 
 
-def _parse_row(toks: _Tokens) -> GroupList:
-    groups = []
-    toks.take("[")
-    while True:
-        toks.take("[")
-        label = toks.number()
-        toks.take(",")
-        count = toks.number()
-        toks.take("]")
-        groups.append((label, count))
-        if toks.peek() == ",":
-            toks.take(",")
-            continue
-        break
-    toks.take("]")
-    return tuple(groups)
-
-
 # dense01 and densepm are one block format with two alphabets.  Entries are
 # written by value, so a BitMatrix entry True or 1.0 is written as "1".
 _BITS = {0: "0", 1: "1"}
 _SIGNS = {1: "+", -1: "-"}
-_ASCII_SPACE = " \t\n\r\f\v"  # str.strip() would strip Unicode spaces too
 
 
 def write_dense01(out, matrices: Iterable[BitMatrix]) -> int:
@@ -266,7 +262,7 @@ def _read_blocks(lines: Iterable[str], chars: dict[int, str], matrix_type, kind:
     alphabet = "".join(value)
     rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(chain(lines, [""]), start=1):  # "" ends the last block
-        line = raw.strip(_ASCII_SPACE)
+        line = raw.strip(_SPACE)
         if bad := line.lstrip(alphabet)[:1]:  # the first character not in alphabet
             raise _bad_char(bad, f"invalid character {bad!r} in {kind} row", lineno)
         if line and not rows:

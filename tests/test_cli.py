@@ -39,8 +39,11 @@ def test_generate_m3_golden(tmp_path, capsys):
      "--duration: must be finite and positive"),
     (["bench", "-m", "7", "--duration", "inf"],
      "--duration: must be finite and positive"),
+    (["generate", "-m", "7", "--limit", "1.5"], "--limit: must be an integer, got '1.5'"),
+    (["bench", "-m", "7", "--duration", "abc"], "--duration: must be a number, got 'abc'"),
 ], ids=["order", "generate-limit", "bench-limit", "bench-duration-zero",
-        "bench-duration-nan", "bench-duration-negative", "bench-duration-inf"])
+        "bench-duration-nan", "bench-duration-negative", "bench-duration-inf",
+        "generate-limit-not-integer", "bench-duration-not-number"])
 def test_generate_rejects_bad_order(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -156,6 +159,15 @@ M3_RECORD = "HM_3_1:[[[0,2],[1,1]],[[0,1],[1,1],[2,1]],[[1,1],[2,1],[4,1]]]$\n"
 # Input is streamed: records before a malformed one are already reported
 # or written when the parse error stops the command.
 TRUNCATED_SECOND = M3_RECORD + "HM_3_2:[[[0,2],[1,1]]\n"
+
+
+def test_verify_takes_a_form_feed_line_between_records(tmp_path, capsys):
+    # grouplist takes the same ASCII whitespace as the dense readers
+    f = tmp_path / "ff.gl"
+    f.write_text(M3_RECORD + "\f\n" + M3_RECORD.replace("HM_3_1", "HM_3_2"))
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0
+    assert out == "HM_3_1: PASS\nHM_3_2: PASS\n"
 
 
 def test_verify_reports_records_before_a_parse_error(tmp_path, capsys):

@@ -127,11 +127,18 @@ def test_parse_reports_a_missing_name_or_colon(text, line, message):
     assert exc.value.line == line
 
 
-def test_long_line_of_records_parses_in_bounded_memory(m7_matrices):
-    # records on one line go to the tokenizer, which reads tokens only as
-    # far as the parser looks: peak memory is about one record, not the line
+@pytest.mark.parametrize("spaced", [False, True], ids=["canonical", "spaced-out"])
+def test_long_line_of_records_parses_in_bounded_memory(m7_matrices, spaced):
+    # records are read only as far as the parser looks, by the regex or,
+    # spaced out, by the tokenizer: peak memory is about one record, not the line
     records = itertools.islice(itertools.cycle(m7_matrices), 1000)
-    line = " ".join(grouplist_lines(records)) + "\n"
+    lines = grouplist_lines(records)
+    if spaced:
+        lines = [line.replace(",", ", ") for line in lines]
+    line = " ".join(lines) + "\n"
+    # a first pass fills CPython's free lists (validation builds and drops a
+    # tuple per row), so the traced pass measures live records only
+    assert sum(1 for _ in parse_grouplist([line])) == 1000
     tracemalloc.start()
     try:
         parsed = sum(1 for _ in parse_grouplist([line]))
@@ -159,7 +166,7 @@ def test_wrapped_record_parses_like_its_canonical_line(m7_matrices, data):
     k = data.draw(st.integers(1, len(m7_matrices)))
     pm = m7_matrices[k - 1]
     toks = _GROUPLIST_TOKEN.findall(grouplist_lines(m7_matrices[:k])[-1])
-    seps = data.draw(st.lists(st.text(" \t\n", max_size=2),
+    seps = data.draw(st.lists(st.text(" \t\n\r\f\v", max_size=2),
                               min_size=len(toks), max_size=len(toks)))
     text = "".join(sep + tok for sep, tok in zip(seps, toks))
     assert list(parse_grouplist(io.StringIO(text))) == [(f"HM_7_{k}", pm)]
@@ -198,6 +205,28 @@ def test_mixed_file_errors_name_their_line(m7_matrices):
     assert exc.value.line == 12
     # records before an error were yielded first
     assert [name for name, _ in got] == [f"HM_7_{k}" for k in (1, 2, 3, 4, 5)] * 2 + ["HM_7_6"]
+
+
+@pytest.mark.parametrize("layout", [
+    lambda lines: " ".join(lines) + "\n",
+    lambda lines: "".join(lines),
+    lambda lines: "".join(f"  {line}\t \n" for line in lines),
+    lambda lines: "".join(f"\n \n\f\n{line}\n" for line in lines),
+    lambda lines: "".join(f"{line}\r\n" for line in lines),
+], ids=["spaced-on-one-line", "joined-on-one-line", "leading-and-trailing-whitespace",
+        "after-blank-lines", "crlf"])
+def test_writer_records_take_the_regex_in_any_layout(m7_matrices, monkeypatch, layout):
+    # the path is chosen per record: a record with no interior whitespace
+    # never reaches the tokenizer, wherever it sits on its line
+    import hadamard01.formats as formats
+
+    def no_tokenizer(toks):
+        raise AssertionError(f"line {toks.at} went to the tokenizer")
+
+    monkeypatch.setattr(formats, "_parse_record", no_tokenizer)
+    text = layout(grouplist_lines(m7_matrices))
+    parsed = list(parse_grouplist(io.StringIO(text)))
+    assert parsed == [(f"HM_7_{k}", pm) for k, pm in enumerate(m7_matrices, 1)]
 
 
 def test_parse_pulls_lines_only_as_far_as_the_record(m7_matrices):
@@ -277,10 +306,13 @@ def test_densepm_rejects_digits():
     # an Arabic-Indic four, on the one-line fast path and in a wrapped record
     (parse_grouplist, "X:[[[0,1]]]$\nX:[[[\u0664,1]]]$\n", 2, "character U+0664"),
     (parse_grouplist, "X:[[\n[0,\n\u0661]]]$\n", 3, "character U+0661"),
+    # between two records, where the regex takes only ASCII whitespace
+    (parse_grouplist, "X:[[[0,1]]]$\nX:[[[0,1]]]$ \xa0X:[[[0,1]]]$\n", 2, "byte 0xa0"),
     # Unicode spaces are not stripped from dense rows
     (parse_dense01, "110\n101\n011\xa0\n", 3, "byte 0xa0"),
     (parse_densepm, "++\n+-\u3000\n", 2, "character U+3000"),
-], ids=["grouplist-canonical", "grouplist-wrapped", "dense01", "densepm"])
+], ids=["grouplist-canonical", "grouplist-wrapped", "grouplist-between-records",
+        "dense01", "densepm"])
 def test_readers_reject_non_ascii(parse, text, line, message):
     with pytest.raises(FormatError, match=f"non-ASCII {re.escape(message)}$") as exc:
         list(parse(io.StringIO(text)))

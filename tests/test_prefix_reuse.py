@@ -195,8 +195,12 @@ def assert_parses_as_lines_alone(text):
 def test_reader_matches_lines_alone_on_the_m7_stream(m7_matrices, streams):
     records = assert_parses_as_lines_alone(grouplist_text(m7_matrices))
     assert tuple(pm for _, pm in records) == m7_matrices
-    # rows shared with the record before are handed on as the same objects
-    assert all(b.rows[1] is a.rows[1] for (_, a), (_, b) in zip(records, records[1:]))
+    # rows shared with the record before are handed on as the same objects,
+    # also when the records are joined on one line
+    joined = list(parse_grouplist([" ".join(grouplist_lines(m7_matrices))]))
+    assert joined == records
+    for parsed in records, joined:
+        assert all(b.rows[1] is a.rows[1] for (_, a), (_, b) in zip(parsed, parsed[1:]))
     assert_parses_as_lines_alone(grouplist_text(streams[7]))
 
 
@@ -247,9 +251,15 @@ def test_validate_from_start_checks_only_later_rows(m7_matrices):
 # the row producers --------------------------------------------------------------
 
 
-def test_every_row_producer_gives_equal_plain_tuples(m7_matrices):
+def test_every_row_producer_gives_equal_plain_tuples(m7_matrices, monkeypatch):
     # shared_prefix compares rows across producers, so a row wrapped in
     # another type on one path would silently stop matching the others
+    import hadamard01.formats as formats
+
+    tokenized = []
+    parse_record = formats._parse_record
+    monkeypatch.setattr(formats, "_parse_record",
+                        lambda toks: tokenized.append(toks.at) or parse_record(toks))
     wrapped = "\n".join(line.replace("],[", "],\n[") for line in grouplist_lines(m7_matrices))
     producers = {
         "search": m7_matrices,  # initial_rows, then child_row
@@ -257,6 +267,7 @@ def test_every_row_producer_gives_equal_plain_tuples(m7_matrices):
         "fast path": [pm for _, pm in parse_grouplist(io.StringIO(grouplist_text(m7_matrices)))],
         "tokenizer": [pm for _, pm in parse_grouplist(io.StringIO(wrapped))],
     }
+    assert len(tokenized) == len(m7_matrices)  # each wrapped record, and no other
     for name, matrices in producers.items():
         assert list(matrices) == list(m7_matrices), name
         for pm in matrices:

@@ -23,6 +23,7 @@ from .generator import GenConfig, initial_rows, iter_matrices
 from .gram import gram_cols, gram_rows, is_hadamard_zo
 from .partition import (
     GroupList,
+    LastRecord,
     PartitionMatrix,
     canonicalize,
     decode_matrix,
@@ -39,6 +40,7 @@ __all__ = [
     "HadamardError",
     "InternalInvariantViolation",
     "InvalidOrder",
+    "LastRecord",
     "LengthMismatch",
     "NonCanonicalRow",
     "NotHadamard",

@@ -20,14 +20,14 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Iterator
 
 from . import formats
 from .core import BitMatrix, HadamardError, pack_row, validate_order
 from .generator import GenConfig, iter_matrices
 from .gram import StreamCheck, is_hadamard_zo
-from .partition import decode_matrix, encode_matrix, row_mask
+from .partition import LastRecord, decode_matrix, encode_matrix, row_mask
 from .presentation import (
     is_normalized,
     normalize,
@@ -37,21 +37,25 @@ from .presentation import (
 )
 
 
+def _number(text: str, kind=int):
+    """kind(text) for ASCII text with no ``_`` or surrounding space, as the
+    file readers take numbers: int() and float() would take all three."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        with suppress(ValueError):
+            return kind(text)
+    what = "an integer" if kind is int else "a number"
+    raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    value = _number(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _positive_seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    value = _number(text, float)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt_kwargs = dict(choices=formats.FORMATS, default="grouplist")
 
     p_gen = sub.add_parser("generate", help="search for matrices of order m")
-    p_gen.add_argument("-m", type=int, required=True, help="matrix order (3 mod 4)")
+    p_gen.add_argument("-m", type=_number, required=True, help="matrix order (3 mod 4)")
     p_gen.add_argument("-o", dest="output", help="output path (default stdout)")
     p_gen.add_argument("--limit", type=_positive_int, help="stop after N matrices")
     p_gen.add_argument("--format", **fmt_kwargs)
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(run=_cmd_convert, usage_error=p_conv.error)
 
     p_bench = sub.add_parser("bench", help="measure the matrix production rate")
-    p_bench.add_argument("-m", type=int, required=True)
+    p_bench.add_argument("-m", type=_number, required=True)
     p_bench.add_argument("--limit", type=_positive_int, help="stop after N matrices")
     p_bench.add_argument("--duration", type=_positive_seconds,
                          help="stop after this many seconds")
@@ -201,16 +205,16 @@ def _write_bits(out, fmt: str, bits: Iterator[BitMatrix]) -> int:
 
 
 def _each_from_last(fn, items: Iterator) -> Iterator:
-    """Map fn(item, prev) over a stream, where prev is the (item, result)
-    pair before it; encode_matrix and decode_matrix reuse its shared rows.
-    An error of fn names the matrix, numbered from 1 as ``verify`` does."""
-    prev = None
+    """Map fn(item, last) over a stream with one partition.LastRecord, in
+    which encode_matrix and decode_matrix keep the rows each item shares
+    with the one before.  An error of fn names the matrix, numbered from
+    1 as ``verify`` does."""
+    last = LastRecord()
     for k, item in enumerate(items, start=1):
         try:
-            result = fn(item, prev)
+            result = fn(item, last)
         except HadamardError as exc:
             raise HadamardError(f"matrix {k}: {exc}") from exc
-        prev = item, result
         yield result
 
 

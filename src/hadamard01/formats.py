@@ -25,12 +25,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import BitMatrix, FormatError, SignMatrix
-from .partition import (
-    GroupList,
-    PartitionMatrix,
-    shared_prefix,
-    validate_partition_matrix,
-)
+from .partition import GroupList, LastRecord, PartitionMatrix, validate_partition_matrix
 
 FORMATS = ("grouplist", "dense01", "densepm")
 
@@ -63,19 +58,15 @@ def _render_row(g: GroupList) -> str:
 def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
     """Write canonical record lines.  Successive matrices of a depth-first
     search share the row objects of their common prefix, so the leading
-    rows equal to those of the last record keep their text and only the
-    rows after them are rendered."""
+    rows equal to those of the last record keep their text (one
+    ``partition.LastRecord``) and only the rows after them are rendered."""
     count = 0
-    last: tuple[GroupList, ...] = ()  # the rows of the last record written
-    texts: list[str] = []  # and their text
+    last = LastRecord()
     for pm in matrices:
         count += 1
-        rows = pm.rows
-        d = shared_prefix(rows, last)
-        last = rows
-        del texts[d:]
-        texts += map(_render_row, rows[d:])
-        out.write(f"HM_{pm.m}_{count}:[{','.join(texts)}]$\n")
+        d = last.keep(pm.rows)
+        last.results += map(_render_row, pm.rows[d:])
+        out.write(f"HM_{pm.m}_{count}:[{','.join(last.results)}]$\n")
     return count
 
 
@@ -147,29 +138,26 @@ def parse_grouplist(lines: Iterable[str]) -> Iterator[tuple[str, PartitionMatrix
 
     Successive canonical records share leading rows, as a depth-first
     search writes them.  The leading rows whose text equals that of the
-    last canonical record keep that record's row tuples, and only the
-    rows after them are decoded and validated: a row's validity depends
-    only on its parent row and m, which the shared text fixes, and the
-    last record was validated whole (a record that fails ends the
-    stream).  Reused rows are the same objects, so consumers that keep
-    per-row work, such as the writer and the Gram check of ``verify``,
-    redo only the new rows too.
+    last canonical record keep that record's row tuples (one
+    ``partition.LastRecord``), and only the rows after them are decoded
+    and validated: a row's validity depends only on its parent row and
+    m, which the shared text fixes, and the last record was validated
+    whole (a record that fails ends the stream).  Reused rows are the
+    same objects, so consumers that keep per-row work, such as the
+    writer and the Gram check of ``verify``, redo only the new rows too.
     """
     toks = _Tokens(enumerate(lines, start=1))
-    last: list[str] = []  # the row texts of the last canonical record
-    rows: list[GroupList] = []  # and its rows
+    last = LastRecord()  # the row texts of the last canonical record, and its rows
     while True:
         match = _RECORD.match(toks.text, toks.pos)
         if match[1]:
             toks.pos = match.end()
             texts = match[2][2:-2].split("]],[[")
-            d = shared_prefix(texts, last)
-            rows = rows[:d]
+            d = last.keep(texts)
             for row in texts[d:]:
                 nums = map(int, row.replace("],[", ",").split(","))
-                rows.append(tuple(zip(nums, nums)))  # (label, count)
-            last = texts
-            yield _checked(match[1], rows, toks.at, d)
+                last.results.append(tuple(zip(nums, nums)))  # (label, count)
+            yield _checked(match[1], last.results, toks.at, d)
         elif match.end() < len(toks.text):
             yield _parse_record(toks)
         elif not toks.pull():

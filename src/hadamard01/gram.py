@@ -12,7 +12,7 @@ A stream of matrices is checked by one StreamCheck, row by new row.
 from __future__ import annotations
 
 from .core import BitMatrix, dot, pack_row
-from .partition import shared_prefix
+from .partition import LastRecord
 
 
 def gram_rows(t: BitMatrix) -> tuple[tuple[int, ...], ...]:
@@ -61,23 +61,22 @@ class StreamCheck:
     """is_hadamard_masks over a stream of matrices, called on each in turn.
 
     ``mask`` turns a row into its int mask: ``partition.row_mask`` for a
-    PartitionMatrix, ``core.pack_row`` for a BitMatrix.  Only the rows
-    after the prefix a matrix shares with the last one that passed are
+    PartitionMatrix, ``core.pack_row`` for a BitMatrix.  A
+    ``partition.LastRecord`` holds the last matrix that passed and its
+    masks, so only the rows after the prefix a matrix shares with it are
     masked and tested, each against every earlier row.  A False verdict
     leaves nothing to reuse, since the test stops at its first bad pair.
     """
 
     def __init__(self, mask):
         self.mask = mask
-        self.rows: tuple = ()  # the rows of the last matrix that passed
-        self.masks: list[int] = []  # and their masks
+        self.last = LastRecord()
 
     def __call__(self, t) -> bool:
-        rows = t.rows
-        d = shared_prefix(rows, self.rows)
-        masks = self.masks
-        del masks[d:]
-        masks += map(self.mask, rows[d:])
+        d = self.last.keep(t.rows)
+        masks = self.last.results
+        masks += map(self.mask, t.rows[d:])
         ok = is_hadamard_masks(t.m, masks, d)
-        self.rows = rows if ok else ()
+        if not ok:
+            self.last.keep(())
         return ok

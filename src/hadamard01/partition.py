@@ -14,6 +14,7 @@ that violate this; canonicalize() reorders columns to repair it.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from .core import BitMatrix, NonCanonicalRow
@@ -80,13 +81,8 @@ def encode_row(bits: tuple[int, ...], parent: GroupList) -> GroupList:
 
 
 def shared_prefix(rows, last) -> int:
-    """How many leading items of ``rows`` equal those of ``last``.
-
-    Successive records of a stream (and successive matrices of a
-    depth-first search) share their leading rows, so a layer that keeps
-    its per-row work for the last record redoes only the rows after this
-    prefix.  The same objects are equal without a comparison.
-    """
+    """How many leading items of ``rows`` equal those of ``last``; the
+    same objects are equal without a comparison."""
     d = 0
     for a, b in zip(rows, last):
         if a is not b and a != b:
@@ -95,50 +91,69 @@ def shared_prefix(rows, last) -> int:
     return d
 
 
-def encode_matrix(
-    t: BitMatrix, prev: tuple[BitMatrix, PartitionMatrix] | None = None
-) -> PartitionMatrix:
+class LastRecord:
+    """The rows of the last record of a stream and one result per row.
+
+    Successive records of a stream (and successive matrices of a
+    depth-first search) share their leading rows, so a layer that keeps
+    one result per row, such as a row's text, mask or encoding, redoes
+    only the rows after the shared prefix.  Every stream layer keeps its
+    results here: the grouplist writer and reader, ``gram.StreamCheck``,
+    encode_matrix and decode_matrix.
+    """
+
+    def __init__(self):
+        self.rows: Sequence = ()
+        self.results: list = []
+
+    def keep(self, rows: Sequence) -> int:
+        """Make ``rows`` the last record, keeping the results of the prefix
+        it shares with the one before; returns how many were kept.  The
+        caller appends one result for each row after them.  ``keep(())``
+        forgets the record, for a layer that must not reuse it.
+        """
+        d = shared_prefix(rows, self.rows)
+        del self.results[d:]
+        self.rows = rows
+        return d
+
+
+def encode_matrix(t: BitMatrix, last: LastRecord | None = None) -> PartitionMatrix:
     """Encode every row of a canonical bit matrix, refining from the root.
 
-    ``prev`` is the previous (bit matrix, its encoding) pair of a stream:
-    row i's group list depends only on bit rows 1..i, so the leading bit
-    rows equal to prev's keep prev's group lists (the same objects, which
-    ``formats.write_grouplist`` does not render again), and only the rows
-    after them are encoded.
+    ``last`` holds the bit matrix before ``t`` in a stream and its group
+    lists: row i's group list depends only on bit rows 1..i, so the
+    leading bit rows shared with it keep its group lists (the same
+    objects, which ``formats.write_grouplist`` does not render again), and
+    only the rows after them are encoded.  A NonCanonicalRow leaves
+    ``last`` holding nothing.
     """
-    parent = root_group_list(t.m)
-    encoded: list[GroupList] = []
-    d = 0
-    if prev is not None:
-        d = shared_prefix(t.rows, prev[0].rows)
-        if d:
-            encoded += prev[1].rows[:d]
-            parent = encoded[-1]
+    last = LastRecord() if last is None else last
+    d = last.keep(t.rows)
+    encoded = last.results
+    parent = encoded[-1] if d else root_group_list(t.m)
     for i, row in enumerate(t.rows[d:], start=d + 1):
         try:
             parent = encode_row(row, parent)
         except NonCanonicalRow as exc:
+            last.keep(())
             raise NonCanonicalRow(f"row {i}: {exc}", row_index=i) from exc
         encoded.append(parent)
     return PartitionMatrix(t.m, tuple(encoded))
 
 
-def decode_matrix(
-    p: PartitionMatrix, prev: tuple[PartitionMatrix, BitMatrix] | None = None
-) -> BitMatrix:
+def decode_matrix(p: PartitionMatrix, last: LastRecord | None = None) -> BitMatrix:
     """Expand every row of a partition matrix into explicit bits.
 
-    ``prev`` is the previous (partition matrix, its decoding) pair of a
-    stream, as for encode_matrix the other way: a bit row depends only on
-    its own group list, so the leading group lists shared with prev keep
-    prev's bit rows, and only the rows after them are decoded.
+    ``last`` holds the partition matrix before ``p`` in a stream and its
+    bit rows, as for encode_matrix the other way: a bit row depends only
+    on its own group list, so the leading group lists shared with it keep
+    its bit rows, and only the rows after them are decoded.
     """
-    decoded: tuple[tuple[int, ...], ...] = ()
-    d = 0
-    if prev is not None:
-        d = shared_prefix(p.rows, prev[0].rows)
-        decoded = prev[1].rows[:d]
-    return BitMatrix(decoded + tuple(decode_row(g) for g in p.rows[d:]))
+    last = LastRecord() if last is None else last
+    d = last.keep(p.rows)
+    last.results += map(decode_row, p.rows[d:])
+    return BitMatrix(tuple(last.results))
 
 
 def row_mask(g: GroupList) -> int:
@@ -182,9 +197,8 @@ def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
         counts = dict(groups)
         rebuilt = child_row(parent, [counts.get(2 * label, 0) for label, _ in parent])
         if groups != rebuilt:
-            j = shared_prefix(groups, rebuilt)
-            found = groups[j] if j < len(groups) else "nothing"
-            want = rebuilt[j] if j < len(rebuilt) else "nothing"
+            j, found, want = next((j, a, b) for j, (a, b) in enumerate(
+                zip_longest(groups, rebuilt, fillvalue="nothing")) if a != b)
             raise ValueError(
                 f"row {i}: group {j + 1} is {found} where refining row {i - 1} gives {want}"
             )

@@ -41,9 +41,22 @@ def test_generate_m3_golden(tmp_path, capsys):
      "--duration: must be finite and positive"),
     (["generate", "-m", "7", "--limit", "1.5"], "--limit: must be an integer, got '1.5'"),
     (["bench", "-m", "7", "--duration", "abc"], "--duration: must be a number, got 'abc'"),
+    # numbers are ASCII only, as in the input files: int() and float() also
+    # take other scripts' digits, surrounding space and "_"
+    (["generate", "-m", "\u0667"], "-m: must be an integer, got '\u0667'"),
+    (["generate", "-m", " 7"], "-m: must be an integer, got ' 7'"),
+    (["generate", "-m", "7", "--limit", " 2 "], "--limit: must be an integer, got ' 2 '"),
+    (["generate", "-m", "7", "--limit", "\u0663"], "--limit: must be an integer, got '\u0663'"),
+    (["generate", "-m", "7", "--limit", "1_000"],
+     "--limit: must be an integer, got '1_000'"),
+    (["bench", "-m", "7", "--duration", "\u0663"],
+     "--duration: must be a number, got '\u0663'"),
 ], ids=["order", "generate-limit", "bench-limit", "bench-duration-zero",
         "bench-duration-nan", "bench-duration-negative", "bench-duration-inf",
-        "generate-limit-not-integer", "bench-duration-not-number"])
+        "generate-limit-not-integer", "bench-duration-not-number",
+        "generate-order-non-ascii", "generate-order-space", "generate-limit-spaces",
+        "generate-limit-non-ascii", "generate-limit-underscore",
+        "bench-duration-non-ascii"])
 def test_generate_rejects_bad_order(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -4,6 +4,9 @@ name it defines at module level, is used in that module.
 A stdlib stand-in for a linter's unused-name rules: a leftover import or
 helper after a refactor fails here.  ``__init__.py`` is left out, since
 its imports are the package's public names.
+
+Per-row reuse across a stream has one home, ``partition.LastRecord``:
+``shared_prefix`` is called nowhere else.
 """
 
 import ast
@@ -51,6 +54,44 @@ def unused_private_names(source: str) -> list[str]:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     return [f"line {line}: {name}" for name, line in defined.items() if name not in loaded]
+
+
+def calls_of(name: str, source: str) -> list[str]:
+    """The enclosing ``def``/``class`` path of every call of ``name``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_shared_prefix_is_called_only_by_last_record():
+    callers = {
+        f"{path.name}:{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in calls_of("shared_prefix", path.read_text())
+    }
+    assert callers == {"partition.py:LastRecord.keep"}
+
+
+def test_calls_are_found_by_their_scope():
+    source = (
+        "def f(): return shared_prefix(a, b)\n"
+        "class C:\n"
+        "    def g(self): return m.shared_prefix(a, b) + other(a)\n"
+        "shared_prefix(a, b)\n"
+    )
+    assert calls_of("shared_prefix", source) == ["f", "C.g", ""]
 
 
 @pytest.mark.parametrize("module", MODULES)

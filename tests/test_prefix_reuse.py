@@ -1,8 +1,9 @@
 """Per-row reuse across a stream: the Gram check (one gram.StreamCheck for
 ``generate`` and for grouplist and dense01 ``verify``), the grouplist
-reader, the encoder and the decoder keep the last record's rows and redo
-only the rows after the prefix a record shares with it.  Every verdict,
-record and error must be what the same record gives on its own."""
+reader, the encoder and the decoder keep the last record's rows in a
+partition.LastRecord and redo only the rows after the prefix a record
+shares with it.  Every verdict, record and error must be what the same
+record gives on its own."""
 
 import io
 import random
@@ -17,6 +18,7 @@ from hadamard01.core import BitMatrix, FormatError, NonCanonicalRow
 from hadamard01.formats import parse_grouplist, write_dense01, write_grouplist
 from hadamard01.gram import is_hadamard_masks, is_hadamard_zo
 from hadamard01.partition import (
+    LastRecord,
     PartitionMatrix,
     child_row,
     row_mask,
@@ -287,15 +289,23 @@ def test_encoding_from_prev_equals_encoding_alone(m7_matrices, m11_head, known15
     m3 = next(iter_matrices(GenConfig(validate_order(3))))
     sample = random.Random(4).sample(m11_head, 300)
     stream = [*m7_matrices, *sample, m3, encode_matrix(known15), m3, *m11_head[:50]]
-    prev = None
+    last = LastRecord()
+    before = None  # the bit matrix before and its encoding
     for pm in stream:
         t = decode_matrix(pm)
-        encoded = encode_matrix(t, prev)
+        encoded = encode_matrix(t, last)
         assert encoded == encode_matrix(t) == pm
-        if prev is not None:
-            d = shared_prefix(t.rows, prev[0].rows)
-            assert all(a is b for a, b in zip(encoded.rows[:d], prev[1].rows))
-        prev = t, encoded
+        if before is not None:
+            d = shared_prefix(t.rows, before[0].rows)
+            assert all(a is b for a, b in zip(encoded.rows[:d], before[1].rows))
+        before = t, encoded
+
+
+def scrambled(t, j, rng):
+    """t with row j + 1 shuffled; the rows before it stay."""
+    row = list(t.rows[j])
+    rng.shuffle(row)
+    return BitMatrix(t.rows[:j] + (tuple(row),) + t.rows[j + 1:])
 
 
 def test_encoding_from_prev_raises_the_same_error(m7_matrices, m11_head):
@@ -303,11 +313,9 @@ def test_encoding_from_prev_raises_the_same_error(m7_matrices, m11_head):
     raised = 0
     for pm in m7_matrices + m11_head[:100]:
         t = decode_matrix(pm)
-        prev = (t, pm)
-        j = rng.randrange(2, 6)  # rows before j stay, row j + 1 is scrambled
-        row = list(t.rows[j])
-        rng.shuffle(row)
-        bad = BitMatrix(t.rows[:j] + (tuple(row),) + t.rows[j + 1:])
+        last = LastRecord()
+        encode_matrix(t, last)
+        bad = scrambled(t, rng.randrange(2, 6), rng)
         try:
             encode_matrix(bad)
         except NonCanonicalRow as exc:
@@ -315,10 +323,36 @@ def test_encoding_from_prev_raises_the_same_error(m7_matrices, m11_head):
         else:
             continue
         with pytest.raises(NonCanonicalRow) as got:
-            encode_matrix(bad, prev)
+            encode_matrix(bad, last)
         assert (str(got.value), got.value.row_index) == expected
         raised += 1
     assert raised >= 10
+
+
+def test_a_failed_encoding_leaves_nothing_to_reuse(m7_matrices, m11_head):
+    # a record that fails part-way has no encoding for its later rows, so a
+    # helper still holding it would let the same rows "keep" encodings
+    # that were never made: the record again would come back short of rows
+    rng = random.Random(7)
+    raised = 0
+    for pm in m7_matrices + m11_head[:100]:
+        t = decode_matrix(pm)
+        last = LastRecord()
+        encode_matrix(t, last)
+        bad = scrambled(t, rng.randrange(2, t.m - 1), rng)
+        try:
+            encode_matrix(bad, last)
+        except NonCanonicalRow as exc:
+            error = str(exc)
+        else:
+            continue
+        raised += 1
+        assert (last.rows, last.results) == ((), [])
+        with pytest.raises(NonCanonicalRow) as again:
+            encode_matrix(bad, last)
+        assert str(again.value) == error
+        assert encode_matrix(t, last) == encode_matrix(t) == pm
+    assert raised >= 30
 
 
 # the decoder --------------------------------------------------------------------
@@ -330,14 +364,15 @@ def test_encoding_from_prev_raises_the_same_error(m7_matrices, m11_head):
     lambda m7, m11: [m7[0], m7[0], m7[0], m11[0], m11[0], m7[1], m7[1], m7[0]],
 ], ids=["m7-stream", "shuffled-m11-sample", "repeated-records"])
 def test_decoding_from_prev_equals_decoding_alone(m7_matrices, m11_head, stream):
-    prev = None
+    last = LastRecord()
+    before = None  # the partition matrix before and its decoding
     for pm in stream(m7_matrices, m11_head):
-        t = decode_matrix(pm, prev)
+        t = decode_matrix(pm, last)
         assert t == decode_matrix(pm)
-        if prev is not None:
-            d = shared_prefix(pm.rows, prev[0].rows)
-            assert all(a is b for a, b in zip(t.rows[:d], prev[1].rows))
-        prev = pm, t
+        if before is not None:
+            d = shared_prefix(pm.rows, before[0].rows)
+            assert all(a is b for a, b in zip(t.rows[:d], before[1].rows))
+        before = pm, t
 
 
 def test_convert_decodes_each_record_from_the_one_before(tmp_path, capsys, m7_matrices,
@@ -347,11 +382,13 @@ def test_convert_decodes_each_record_from_the_one_before(tmp_path, capsys, m7_ma
     calls = []
     decode = cli.decode_matrix
     monkeypatch.setattr(cli, "decode_matrix",
-                        lambda pm, prev=None: calls.append(prev) or decode(pm, prev))
+                        lambda pm, last=None: calls.append(last) or decode(pm, last))
     src = tmp_path / "in.gl"
     src.write_text(grouplist_text(m7_matrices))
     assert main(["convert", str(src), "--from", "grouplist", "--to", "dense01"]) == 0
     expected = io.StringIO()
     write_dense01(expected, map(decode_matrix, m7_matrices))
     assert capsys.readouterr().out == expected.getvalue()
-    assert calls[0] is None and all(prev is not None for prev in calls[1:])
+    # one helper for the whole stream, passed to every call
+    assert len(calls) == len(m7_matrices) and isinstance(calls[0], LastRecord)
+    assert all(last is calls[0] for last in calls)

@@ -5,7 +5,9 @@ pairs.  Labels are refinement histories: a group with label l at depth d
 splits at depth d+1 into the child 2l (columns carrying 1 in the new row)
 and 2l+1 (columns carrying 0); even labels therefore mean ones and odd
 labels mean zeros, and bit (d - j) of a depth-d label is 0 exactly when the
-group's columns carry a 1 in row j.  Zero-count groups are never stored.
+group's columns carry a 1 in row j; ones_in(row, back) reads that bit for
+the row ``back`` rows up, and nothing else in the package reads further
+than bit 0.  Zero-count groups are never stored.
 
 The encoding assumes the canonical column layout: within each span covered
 by a parent group, all ones precede all zeros.  encode_row rejects rows
@@ -42,6 +44,13 @@ def decode_row(g: GroupList) -> tuple[int, ...]:
     for label, count in g:
         bits.extend((1 if label % 2 == 0 else 0,) * count)
     return tuple(bits)
+
+
+def ones_in(row: GroupList, back: int) -> tuple[int, ...]:
+    """The indices of the groups of ``row`` whose columns carry a 1 in the
+    row ``back`` rows above it (``back=0``: in ``row`` itself), i.e. whose
+    label has bit ``back`` clear: the one reader of a label's history."""
+    return tuple(s for s, (label, _) in enumerate(row) if not label >> back & 1)
 
 
 def child_row(parent: GroupList, k: Sequence[int]) -> GroupList:

@@ -28,7 +28,7 @@ from math import gcd
 from typing import Iterator
 
 from .core import Frozen, SearchParams
-from .partition import GroupList
+from .partition import GroupList, ones_in
 
 
 class RowSystem(Frozen):
@@ -79,22 +79,18 @@ def build_system(
 
     One weight equation over all variables (rhs 2q), then one overlap
     equation per earlier row j = i-1 .. 1 (rhs q) over the groups whose
-    label has bit (i-1-j) clear, i.e. whose columns carry a 1 in row j.
+    columns carry a 1 in row j: ``partition.ones_in(parent, i-1-j)``, the
+    one function that reads a label's history.
 
     ``prev`` is the system that produced ``parent``.  If their variable
     counts agree, row i-1 split no group: bounds and earlier supports carry
     over, only the row i-1 equation is new, and the result is the same.
     """
-    labels = [label for label, _ in parent]
-
-    def overlap(qq: int) -> tuple[tuple[int, ...], int]:
-        return tuple(s for s, label in enumerate(labels) if (label // qq) % 2 == 0), params.q
-
-    if prev is not None and len(labels) == len(prev.bounds):
-        eqs = prev.equations
-        return RowSystem(i, prev.bounds, eqs[:1] + (overlap(1),) + eqs[1:], prev)
-    equations = [(tuple(range(len(labels))), params.b)]
-    equations += [overlap(2**t) for t in range(i - 1)]
+    if prev is not None and len(parent) == len(prev.bounds):
+        eqs, newest = prev.equations, (ones_in(parent, 0), params.q)
+        return RowSystem(i, prev.bounds, eqs[:1] + (newest,) + eqs[1:], prev)
+    equations = [(tuple(range(len(parent))), params.b)]
+    equations += [(ones_in(parent, back), params.q) for back in range(i - 1)]
     return RowSystem(i, tuple(count for _, count in parent), tuple(equations))
 
 

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and the
 measured timings.  Criterion 3 pins the full order-11 count to the
 closed-form design count 60480 = 11!/660: the 11!^2/660 labeled biplane
-complements fall into column-permutation orbits of size 11!.
+complements fall into column-permutation orbits of size 11!.  The same
+run also pins how many row systems and solutions the search meets per
+depth.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import math
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
+import hadamard01.generator as generator
 from hadamard01 import (
     BitMatrix,
     GenConfig,
@@ -43,31 +47,50 @@ def _report(num: int, label: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def m11_run():
     """One full order-11 run: exact count, a seeded 100-matrix reservoir
-    sample, and the row systems along a spread of emitted matrices."""
+    sample, the row systems along a spread of emitted matrices, and the
+    systems the search builds and the solutions it takes, by depth."""
     params = validate_order(11)
     rng = random.Random(2024)
     count = 0
     sample: list = []
     systems = []
+    built: Counter = Counter()
+    solved: Counter = Counter()
+
+    def counted_build(*args):
+        system = build_system(*args)
+        built[system.i] += 1
+        return system
+
+    def counted_solutions(system):
+        for k in enumerate_solutions(system):
+            solved[system.i] += 1
+            yield k
+
     start = time.monotonic()
-    for pm in iter_matrices(GenConfig(params, verify_each=False)):
-        count += 1
-        if len(sample) < 100:
-            sample.append(pm)
-        else:
-            j = rng.randrange(count)
-            if j < 100:
-                sample[j] = pm
-        if count % 5000 == 1:
-            # reconstruct every system met along this matrix's path
-            for i in range(3, 12):
-                systems.append(build_system(pm.rows[i - 2], i, params))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "build_system", counted_build)
+        patch.setattr(generator, "enumerate_solutions", counted_solutions)
+        for pm in iter_matrices(GenConfig(params, verify_each=False)):
+            count += 1
+            if len(sample) < 100:
+                sample.append(pm)
+            else:
+                j = rng.randrange(count)
+                if j < 100:
+                    sample[j] = pm
+            if count % 5000 == 1:
+                # reconstruct every system met along this matrix's path
+                for i in range(3, 12):
+                    systems.append(build_system(pm.rows[i - 2], i, params))
     elapsed = time.monotonic() - start
     return {
         "count": count,
         "sample": sample,
         "systems": systems,
         "elapsed": elapsed,
+        "built": built,
+        "solved": solved,
     }
 
 
@@ -128,6 +151,20 @@ def test_criterion_3_m11_count(m11_run):
         print(f"[acceptance]   {exc}")
         raise
     _report(3, "m=11 count", detail)
+
+
+def test_m11_systems_and_solutions_per_depth(m11_run):
+    # every system below depth 11 has a solution, and depth 11 gives one
+    # matrix per system
+    depths = range(3, 12)
+    built = (1, 3, 11, 83, 504, 2520, 10080, 30240, 60480)
+    solved = (3, 11, 83, 504, 2520, 10080, 30240, 60480, 60480)
+    assert m11_run["built"] == dict(zip(depths, built))
+    assert m11_run["solved"] == dict(zip(depths, solved))
+    print(
+        "[acceptance] m=11 per-depth table: PASS  "
+        f"{sum(built)} row systems built over depths 3..11"
+    )
 
 
 def test_criterion_4_m15_soundness_at_scale():

@@ -6,7 +6,9 @@ helper after a refactor fails here.  ``__init__.py`` is left out, since
 its imports are the package's public names.
 
 Per-row reuse across a stream has one home, ``partition.LastRecord``:
-``shared_prefix`` is called nowhere else.
+``shared_prefix`` is called nowhere else.  The label encoding has one
+owner, ``partition``: ``solver`` takes its overlap supports from
+``partition.ones_in`` and names no label.
 """
 
 import ast
@@ -82,6 +84,24 @@ def test_shared_prefix_is_called_only_by_last_record():
         for scope in calls_of("shared_prefix", path.read_text())
     }
     assert callers == {"partition.py:LastRecord.keep"}
+
+
+def bound_or_loaded(source: str) -> set[str]:
+    """Every name that ``source`` binds or loads, parameters included."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)
+    }
+
+
+def test_solver_names_no_label():
+    names = bound_or_loaded((PACKAGE / "solver.py").read_text())
+    assert names & {"label", "labels"} == set()
+
+
+def test_bound_and_loaded_names_are_found():
+    source = "labels = [label for label, _ in g]\ndef f(label): return x\n"
+    assert bound_or_loaded(source) == {"labels", "label", "g", "_", "x"}
 
 
 def test_calls_are_found_by_their_scope():

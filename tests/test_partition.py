@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from hadamard01 import (
 from hadamard01.partition import (
     PartitionMatrix,
     child_row,
+    ones_in,
     root_group_list,
     validate_partition_matrix,
 )
@@ -145,6 +147,18 @@ def test_label_bits_record_membership_history(known15):
                     bit = (label >> (i - j)) & 1
                     assert (bit == 0) == (known15.rows[j - 1][c] == 1)
             pos += count
+
+
+def test_ones_in_lists_the_groups_with_a_one_in_the_row_back_above(m7_matrices, m11_head):
+    for pm in m7_matrices + m11_head:
+        decoded = [decode_row(g) for g in pm.rows]
+        for d, row in enumerate(pm.rows, start=1):
+            first_columns = list(accumulate((count for _, count in row), initial=0))[:-1]
+            for back in range(d):
+                above = decoded[d - 1 - back]
+                assert ones_in(row, back) == tuple(
+                    s for s, c in enumerate(first_columns) if above[c] == 1
+                )
 
 
 def test_row_invariants_on_known15(known15):

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from . import formats
 from .core import BitMatrix, HadamardError, pack_row, validate_order
-from .generator import GenConfig, iter_matrices
+from .generator import VERIFY_DEFAULT_MAX_ORDER, GenConfig, iter_matrices
 from .gram import StreamCheck, is_hadamard_zo
 from .partition import LastRecord, decode_matrix, encode_matrix, row_mask
 from .presentation import (
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="re-verify each emitted matrix (default: on for m <= 15)",
+        help=f"re-verify each emitted matrix (default: on for m <= {VERIFY_DEFAULT_MAX_ORDER})",
     )
     p_gen.add_argument("--progress", action="store_true",
                        help="write a status line to stderr about once a second")

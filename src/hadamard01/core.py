@@ -156,32 +156,31 @@ class SignMatrix(Frozen):
 
 
 class SearchParams(Frozen):
-    """Derived search constants for an admissible order m.
+    """The search constants of an admissible order m, the one place they
+    are derived: q = (m+1)/4 is the quarter, which is also the pairwise
+    row overlap, and b = 2q is the row weight.  The value is m alone.
 
-    q = (m+1)/4 is the quarter, which is also the pairwise row overlap, and
-    b = 2q is the row weight.  validate_order is the checked way to make one.
+    Raises InvalidOrder unless m is an integer >= 3 with m = 3 mod 4.
     """
 
-    __slots__ = _fields = ("m", "q", "b")
+    __slots__ = ("m", "q", "b")
+    _fields = ("m",)
     m: int
     q: int
     b: int
 
-    def __init__(self, m: int, q: int, b: int):
+    def __init__(self, m: int):
+        if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 4 != 3:
+            raise InvalidOrder(f"m={m} is incorrect size for Hadamard matrices")
         self._set("m", m)
-        self._set("q", q)
-        self._set("b", b)
+        self._set("q", (m + 1) // 4)
+        self._set("b", 2 * self.q)
 
 
 def validate_order(m: int) -> SearchParams:
-    """Check that m is an admissible order and derive the search constants.
-
-    Raises InvalidOrder unless m is an integer >= 3 with m = 3 mod 4.
-    """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 4 != 3:
-        raise InvalidOrder(f"m={m} is incorrect size for Hadamard matrices")
-    q = (m + 1) // 4
-    return SearchParams(m=m, q=q, b=2 * q)
+    """The search constants of order m: ``SearchParams(m)``, which raises
+    InvalidOrder unless m is an integer >= 3 with m = 3 mod 4."""
+    return SearchParams(m)
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -66,7 +66,7 @@ def write_grouplist(out, matrices: Iterable[PartitionMatrix]) -> int:
         count += 1
         d = last.keep(pm.rows)
         last.results += map(_render_row, pm.rows[d:])
-        out.write(f"HM_{pm.m}_{count}:[{','.join(last.results)}]$\n")
+        out.write(f"HM_{len(pm.rows)}_{count}:[{','.join(last.results)}]$\n")
     return count
 
 
@@ -198,8 +198,7 @@ def _parse_pair(toks: _Tokens) -> tuple[int, int]:
 def _checked(
     name: str, rows: Sequence[GroupList], line: int, start: int = 0
 ) -> tuple[str, PartitionMatrix]:
-    m = sum(count for _, count in rows[0])
-    pm = PartitionMatrix(m, tuple(rows))
+    pm = PartitionMatrix(tuple(rows))
     try:
         validate_partition_matrix(pm, start)
     except ValueError as exc:

@@ -29,9 +29,11 @@ PROGRESS_PERIOD_S = 1.0
 class GenConfig(Frozen):
     """Generation settings.
 
-    ``limit`` cuts the stream after exactly that many matrices.
+    ``params`` is a SearchParams.  ``limit`` cuts the stream after exactly
+    that many matrices, an int >= 1 (not a bool).
     ``verify_each`` None becomes the default policy here, so the field is
-    always a bool: verify every emitted matrix for m <= 15, skip above.
+    always a bool: verify every emitted matrix for m <=
+    VERIFY_DEFAULT_MAX_ORDER, skip above.
     ``progress`` writes a status line to stderr (never to the output
     stream) at the first row entry and then at most once per
     PROGRESS_PERIOD_S: ``i=<depth> emitted=<count> t=<s>s``.
@@ -45,8 +47,10 @@ class GenConfig(Frozen):
 
     def __init__(self, params: SearchParams, limit: int | None = None,
                  verify_each: bool | None = None, progress: bool = False):
-        if limit is not None and limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
+        if not isinstance(params, SearchParams):
+            raise TypeError(f"params must be a SearchParams, got {params!r}")
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise ValueError(f"limit must be an int >= 1, got {limit!r}")
         self._set("params", params)
         self._set("limit", limit)
         if verify_each is None:
@@ -83,7 +87,6 @@ def iter_matrices(
     emitted prefix is still deterministic up to where the clock cuts.
     """
     params = config.params
-    m = params.m
     check = StreamCheck(row_mask) if config.verify_each else None
     start = time.monotonic()
     next_status = start if config.progress else None  # time of the next status line
@@ -104,21 +107,24 @@ def iter_matrices(
         system = build_system(rows[-1], i, params, prev)
         for k in enumerate_solutions(system):
             rows.append(child_row(rows[-1], k))
-            if i == m:
-                yield PartitionMatrix(m, tuple(rows))
+            if i == params.m:
+                yield PartitionMatrix(tuple(rows))
             else:
                 yield from extend(i + 1, system)
             rows.pop()
             if deadline is not None and time.monotonic() >= deadline:
                 return
 
-    for pm in extend(3, None):
-        if check is not None and not check(pm):
-            raise InternalInvariantViolation(
-                f"generated matrix {emitted + 1} failed verification"
-            )
-        yield pm
-        emitted += 1
-        if config.limit is not None and emitted >= config.limit:
-            return
+    try:
+        for pm in extend(3, None):
+            if check is not None and not check(pm):
+                raise InternalInvariantViolation(
+                    f"generated matrix {emitted + 1} failed verification"
+                )
+            yield pm
+            emitted += 1
+            if config.limit is not None and emitted >= config.limit:
+                return
+    finally:
+        del extend  # extend refers to itself; free it without the cyclic GC
 

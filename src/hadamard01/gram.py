@@ -11,7 +11,7 @@ A stream of matrices is checked by one StreamCheck, row by new row.
 
 from __future__ import annotations
 
-from .core import BitMatrix, dot, pack_row
+from .core import BitMatrix, SearchParams, dot, pack_row
 from .partition import LastRecord
 
 
@@ -36,8 +36,8 @@ def is_hadamard_zo(t: BitMatrix) -> bool:
 def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
     """True iff ``masks``, m rows of m columns as int masks, form a Hadamard
     matrix in {0,1} form: m = 3 mod 4 (side 1 therefore returns False) and
-    the row Gram matrix is 2q on the diagonal and q off it, q = (m+1)/4.
-    The pairwise products are popcounts.
+    the row Gram matrix is b = 2q on the diagonal and q off it, with q and
+    b from ``core.SearchParams``.  The pairwise products are popcounts.
 
     Rows before index ``start`` are taken as already checked, weights and
     pairs, so each row from ``start`` on is tested for weight 2q and for
@@ -45,14 +45,13 @@ def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
     """
     if m < 3 or m % 4 != 3 or len(masks) != m:
         return False
-    a = (m + 1) // 4
-    b = 2 * a
+    params = SearchParams(m)
     for i in range(start, m):
         u = masks[i]
-        if u.bit_count() != b:
+        if u.bit_count() != params.b:
             return False
         for v in masks[:i]:
-            if (u & v).bit_count() != a:
+            if (u & v).bit_count() != params.q:
                 return False
     return True
 
@@ -76,7 +75,7 @@ class StreamCheck:
         d = self.last.keep(t.rows)
         masks = self.last.results
         masks += map(self.mask, t.rows[d:])
-        ok = is_hadamard_masks(t.m, masks, d)
+        ok = is_hadamard_masks(len(t.rows), masks, d)
         if not ok:
             self.last.keep(())
         return ok

@@ -27,9 +27,9 @@ GroupList = tuple[Group, ...]
 
 
 class PartitionMatrix(NamedTuple):
-    """A full m-row matrix in group-list form; row i (rows[i-1]) has depth i."""
+    """A full matrix in group-list form; row i (rows[i-1]) has depth i, and
+    its order m is its row count, ``len(rows)``."""
 
-    m: int
     rows: tuple[GroupList, ...]
 
 
@@ -148,7 +148,7 @@ def encode_matrix(t: BitMatrix, last: LastRecord | None = None) -> PartitionMatr
             last.keep(())
             raise NonCanonicalRow(f"row {i}: {exc}", row_index=i) from exc
         encoded.append(parent)
-    return PartitionMatrix(t.m, tuple(encoded))
+    return PartitionMatrix(tuple(encoded))
 
 
 def decode_matrix(p: PartitionMatrix, last: LastRecord | None = None) -> BitMatrix:
@@ -191,7 +191,8 @@ def canonicalize(t: BitMatrix) -> BitMatrix:
 
 def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
     """Check that every row refines the row above it (row 0 is the root
-    group of all m columns); raises ValueError naming the first bad row.
+    group of all m columns, m read off row 1, or 0 with no rows); raises
+    ValueError naming the first bad row.
 
     Row i must equal ``child_row(row i-1, k)``, with k_s the count of its
     own child 2l_s (0 if absent), and hold no count below 1: a count above
@@ -199,9 +200,11 @@ def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
     ``start`` are taken as checked: a row's validity depends only on its
     parent row and m, so rows shared with a record already validated at
     the same m need no second look.  The row count is checked last, so a
-    wrong m (the reader takes it from row 1) is reported at the bad row.
+    row 1 that covers the wrong number of columns is reported at the
+    first row that does not refine it.
     """
-    parent = p.rows[start - 1] if start else root_group_list(p.m)
+    m = sum(count for _, count in p.rows[0]) if p.rows else 0
+    parent = p.rows[start - 1] if start else root_group_list(m)
     for i, groups in enumerate(p.rows[start:], start=start + 1):
         counts = dict(groups)
         rebuilt = child_row(parent, [counts.get(2 * label, 0) for label, _ in parent])
@@ -215,5 +218,5 @@ def validate_partition_matrix(p: PartitionMatrix, start: int = 0) -> None:
             bad = next(g for g in groups if g[1] < 1)
             raise ValueError(f"row {i}: group {bad} has nonpositive count")
         parent = groups
-    if len(p.rows) != p.m:
-        raise ValueError(f"expected {p.m} rows, got {len(p.rows)}")
+    if len(p.rows) != m:
+        raise ValueError(f"expected {m} rows, got {len(p.rows)}")

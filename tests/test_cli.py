@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hadamard01.cli import main
+from hadamard01 import GenConfig, validate_order
+from hadamard01.cli import build_parser, main
+from hadamard01.generator import VERIFY_DEFAULT_MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -419,3 +421,13 @@ def test_cli_import_leaves_dataclasses_logging_and_inspect_out():
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
     assert done.stderr.startswith("i=3 emitted=0 t=")
+
+
+def test_verify_help_names_the_default_policy_bound(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["generate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default: on for m <= {VERIFY_DEFAULT_MAX_ORDER})" in text
+    bound = validate_order(VERIFY_DEFAULT_MAX_ORDER)
+    assert GenConfig(bound).verify_each is True
+    assert GenConfig(validate_order(bound.m + 4)).verify_each is False

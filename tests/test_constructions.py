@@ -67,10 +67,10 @@ CONSTRUCTIONS = {
 def assert_on_search_path(h: SignMatrix) -> None:
     # normalize raises NotHadamard unless h is Hadamard
     pm = encode_matrix(canonicalize(zo_from_pm(normalize(h))))
-    params = validate_order(pm.m)
+    params = validate_order(len(pm.rows))
     assert pm.rows[:2] == initial_rows(params)
     system = None
-    for i in range(3, pm.m + 1):
+    for i in range(3, len(pm.rows) + 1):
         parent, row = pm.rows[i - 2], pm.rows[i - 1]
         system = build_system(parent, i, params, system)
         ones = dict(row)

@@ -1,8 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hadamard01 import InvalidOrder, LengthMismatch, dot, validate_order
+from hadamard01 import InvalidOrder, LengthMismatch, SearchParams, dot, validate_order
 from hadamard01.core import pack_row
 
 from conftest import bits
@@ -29,6 +31,23 @@ def test_validate_order_rejects(bad):
 def test_validate_order_rejects_non_integer():
     with pytest.raises(InvalidOrder):
         validate_order(7.0)
+
+
+@pytest.mark.parametrize("m", range(3, 64, 4))
+def test_search_params_follow_from_m(m):
+    p = validate_order(m)
+    assert (p.m, 4 * p.q - 1, p.b) == (m, m, 2 * p.q)
+    again = pickle.loads(pickle.dumps(p))
+    assert again == p and (again.q, again.b) == (p.q, p.b)
+    assert hash(SearchParams(m)) == hash(p) and SearchParams(m) == p
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4, 8, -1, 7.0, True, "7"])
+def test_search_params_reject_what_validate_order_rejects(bad):
+    with pytest.raises(InvalidOrder, match="incorrect size for Hadamard matrices"):
+        SearchParams(bad)
+    with pytest.raises(InvalidOrder, match="incorrect size for Hadamard matrices"):
+        validate_order(bad)
 
 
 def test_dot_known_rows():

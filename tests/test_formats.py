@@ -55,7 +55,7 @@ def test_writer_reuses_row_text_only_for_the_same_objects(m7_matrices, known15):
     assert write_grouplist(out, stream) == len(stream)
     # each record as a writer with nothing to reuse renders it
     assert out.getvalue() == "".join(
-        f"HM_{pm.m}_{k}:" + grouplist_lines([pm])[0].split(":", 1)[1] + "\n"
+        f"HM_{len(pm.rows)}_{k}:" + grouplist_lines([pm])[0].split(":", 1)[1] + "\n"
         for k, pm in enumerate(stream, 1)
     )
 

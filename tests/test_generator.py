@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -95,6 +96,40 @@ def test_limit_cuts_the_stream(m7_matrices):
 def test_limit_must_be_positive():
     with pytest.raises(ValueError):
         GenConfig(validate_order(7), limit=0)
+
+
+@pytest.mark.parametrize("limit", [1.5, True, "5"], ids=["float", "bool", "str"])
+def test_limit_must_be_an_int(limit):
+    # unchecked, limit=1.5 would emit 2 matrices and limit=True 1
+    with pytest.raises(ValueError, match="limit must be an int >= 1"):
+        GenConfig(validate_order(7), limit=limit)
+
+
+def test_params_must_be_search_params():
+    with pytest.raises(TypeError, match="params must be a SearchParams, got 11"):
+        GenConfig(11)
+
+
+@pytest.mark.parametrize("end", ["exhaustion", "limit", "close", "drop"])
+def test_a_search_leaves_no_reference_cycle(end):
+    # iter_matrices' recursive extend refers to itself; however the search
+    # ends, nothing of it may be left for the cyclic GC
+    gc.collect()
+    gc.disable()
+    try:
+        if end == "exhaustion":
+            assert len(list(iter_matrices(GenConfig(validate_order(7))))) == 30
+        elif end == "limit":
+            assert len(list(iter_matrices(GenConfig(validate_order(11), limit=10)))) == 10
+        else:
+            matrices = iter_matrices(GenConfig(validate_order(11)))
+            next(matrices)
+            if end == "close":
+                matrices.close()
+            del matrices
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_policy_defaults():

@@ -142,7 +142,7 @@ def assert_mask_check_matches_decoded(pm):
     t = decode_matrix(pm)
     masks = [row_mask(g) for g in pm.rows]
     assert masks == [pack_row(row) for row in t.rows]
-    assert is_hadamard_masks(pm.m, masks) == is_hadamard_zo(t)
+    assert is_hadamard_masks(len(pm.rows), masks) == is_hadamard_zo(t)
 
 
 def test_mask_check_matches_decoded_check_on_generated_matrices(m7_matrices, known15):

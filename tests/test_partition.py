@@ -169,13 +169,21 @@ def test_row_invariants_on_known15(known15):
         assert len(g) <= min(2 ** i, 15)
 
 
+def test_validate_reads_the_order_off_row_1():
+    # no row: order 0, nothing to refine; one row of one column: order 1
+    validate_partition_matrix(PartitionMatrix(()))
+    validate_partition_matrix(PartitionMatrix((((0, 1),),)))
+    with pytest.raises(ValueError, match="^expected 2 rows, got 1$"):
+        validate_partition_matrix(PartitionMatrix((((0, 1), (1, 1)),)))
+
+
 def test_validate_rejects_refinement_breaks():
     rows = (
         ((0, 2), (1, 1)),
         ((0, 1), (5, 1), (3, 1)),  # label 5 out of range, order broken
     )
     with pytest.raises(ValueError):
-        validate_partition_matrix(PartitionMatrix(3, rows))
+        validate_partition_matrix(PartitionMatrix(rows))
 
 
 def test_validate_rejects_orphan_child():
@@ -184,7 +192,7 @@ def test_validate_rejects_orphan_child():
         ((0, 2), (3, 1)),  # parent group 1 never existed
     )
     with pytest.raises(ValueError):
-        validate_partition_matrix(PartitionMatrix(3, rows))
+        validate_partition_matrix(PartitionMatrix(rows))
 
 
 def test_validate_rejects_bad_child_counts():
@@ -193,7 +201,7 @@ def test_validate_rejects_bad_child_counts():
         ((0, 2), (1, 1)),  # children of group 0 sum to 3 != 2
     )
     with pytest.raises(ValueError):
-        validate_partition_matrix(PartitionMatrix(3, rows))
+        validate_partition_matrix(PartitionMatrix(rows))
 
 
 def test_validate_rejects_a_count_above_its_parents():
@@ -202,7 +210,7 @@ def test_validate_rejects_a_count_above_its_parents():
     rows = (((0, 4), (1, -1)), ((0, 1), (1, 1), (2, 1)), ((1, 1), (2, 1), (4, 1)))
     assert child_row(root_group_list(3), (4,)) == rows[0]
     with pytest.raises(ValueError, match=r"^row 1: group \(1, -1\) has nonpositive count$"):
-        validate_partition_matrix(PartitionMatrix(3, rows))
+        validate_partition_matrix(PartitionMatrix(rows))
 
 
 @pytest.mark.parametrize("row, message", [
@@ -215,7 +223,7 @@ def test_validate_names_the_first_group_that_differs(m7_matrices, row, message):
     pm = m7_matrices[0]
     assert pm.rows[1] == ((0, 2), (1, 2), (2, 2), (3, 1))
     with pytest.raises(ValueError) as exc:
-        validate_partition_matrix(PartitionMatrix(7, pm.rows[:1] + (row,) + pm.rows[2:]))
+        validate_partition_matrix(PartitionMatrix(pm.rows[:1] + (row,) + pm.rows[2:]))
     assert str(exc.value) == f"row 2: {message}"
 
 

@@ -48,17 +48,17 @@ def row_masks(pm):
 
 
 def full_check(pm):
-    return is_hadamard_masks(pm.m, row_masks(pm))
+    return is_hadamard_masks(len(pm.rows), row_masks(pm))
 
 
 def with_random_tail(pm, keep, rng):
     """pm's first ``keep`` row objects, then random refinements: a
     consistent matrix that is almost never Hadamard."""
     rows = list(pm.rows[:keep])
-    while len(rows) < pm.m:
+    while len(rows) < len(pm.rows):
         parent = rows[-1]
         rows.append(child_row(parent, tuple(rng.randint(0, c) for _, c in parent)))
-    return PartitionMatrix(pm.m, tuple(rows))
+    return PartitionMatrix(tuple(rows))
 
 
 def with_copies(matrices, seed):
@@ -72,10 +72,10 @@ def with_copies(matrices, seed):
         stream.append(pm)
         if rng.random() < 0.5:
             continue
-        copy = with_random_tail(pm, rng.randrange(2, pm.m), rng)
+        copy = with_random_tail(pm, rng.randrange(2, len(pm.rows)), rng)
         stream.append(copy)
         if not full_check(copy):
-            stream += [copy, with_random_tail(copy, pm.m - 1, rng)]
+            stream += [copy, with_random_tail(copy, len(pm.rows) - 1, rng)]
     return stream
 
 
@@ -242,12 +242,12 @@ def test_shared_prefix_does_not_hide_a_later_refinement_error(m7_matrices):
 
 def test_validate_from_start_checks_only_later_rows(m7_matrices):
     pm = m7_matrices[0]
-    broken = PartitionMatrix(7, pm.rows[:6] + (m7_matrices[-1].rows[6],))
+    broken = PartitionMatrix(pm.rows[:6] + (m7_matrices[-1].rows[6],))
     with pytest.raises(ValueError, match="row 7"):
         validate_partition_matrix(broken, 6)
     validate_partition_matrix(pm, 6)
     with pytest.raises(ValueError, match="expected 7 rows"):
-        validate_partition_matrix(PartitionMatrix(7, pm.rows[:6]), 6)
+        validate_partition_matrix(PartitionMatrix(pm.rows[:6]), 6)
 
 
 # the row producers --------------------------------------------------------------

@@ -23,8 +23,10 @@ from hadamard01.partition import (
 
 def reference_bad_row(p: PartitionMatrix, start: int = 0) -> int | None:
     """The first row (1-based) of p that breaks the refinement invariants,
-    or None; rows before index ``start`` are taken as checked."""
-    parent = p.rows[start - 1] if start else root_group_list(p.m)
+    or None; rows before index ``start`` are taken as checked.  The total
+    m is read off row 1, as the check and the reader do."""
+    m = sum(count for _, count in p.rows[0])
+    parent = p.rows[start - 1] if start else root_group_list(m)
     for i, g in enumerate(p.rows[start:], start=start + 1):
         prev = -1
         total = 0
@@ -33,7 +35,7 @@ def reference_bad_row(p: PartitionMatrix, start: int = 0) -> int | None:
                 return i
             prev = label
             total += count
-        if total != p.m:
+        if total != m:
             return i
         remaining = dict(parent)
         for label, count in g:
@@ -90,7 +92,7 @@ def mutated_records(pm: PartitionMatrix):
     """(row index, kind, mutated matrix) for every mutation of every row."""
     for r, row in enumerate(pm.rows):
         for kind, groups in mutants(row):
-            yield r, kind, PartitionMatrix(pm.m, pm.rows[:r] + (groups,) + pm.rows[r + 1:])
+            yield r, kind, PartitionMatrix(pm.rows[:r] + (groups,) + pm.rows[r + 1:])
 
 
 @pytest.mark.parametrize("m", [7, 11])
@@ -116,5 +118,5 @@ def test_moved_column_fails_on_the_row_below(m7_matrices):
     pm = m7_matrices[0]
     assert pm.rows[1] == ((0, 2), (1, 2), (2, 2), (3, 1))
     moved = ((0, 3), (1, 1), (2, 2), (3, 1))
-    bad = PartitionMatrix(7, pm.rows[:1] + (moved,) + pm.rows[2:])
+    bad = PartitionMatrix(pm.rows[:1] + (moved,) + pm.rows[2:])
     assert check_agrees(bad) == 3

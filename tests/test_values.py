@@ -9,6 +9,8 @@ import pytest
 from hadamard01 import (
     BitMatrix,
     GenConfig,
+    PartitionMatrix,
+    SearchParams,
     SignMatrix,
     initial_rows,
     validate_order,
@@ -22,9 +24,9 @@ VALUES = {
                   "BitMatrix(rows=((1, 0), (0, 1)))", "rows"),
     "SignMatrix": (lambda: SignMatrix(((1, 1), (1, -1))),
                    "SignMatrix(rows=((1, 1), (1, -1)))", "rows"),
-    "SearchParams": (lambda: validate_order(7), "SearchParams(m=7, q=2, b=4)", "q"),
+    "SearchParams": (lambda: validate_order(7), "SearchParams(m=7)", "q"),
     "GenConfig": (lambda: GenConfig(validate_order(7), limit=5),
-                  "GenConfig(params=SearchParams(m=7, q=2, b=4), limit=5, "
+                  "GenConfig(params=SearchParams(m=7), limit=5, "
                   "verify_each=True, progress=False)", "limit"),
     "RowSystem": (lambda: RowSystem(3, (1, 1), (((0, 1), 1),)),
                   "RowSystem(i=3, bounds=(1, 1), equations=(((0, 1), 1),))", "prev"),
@@ -68,6 +70,15 @@ def test_equality_needs_the_same_class():
     assert validate_order(7) != (7, 2, 4)
     assert BitMatrix(rows) != BitMatrix(((0,),))
     assert GenConfig(validate_order(7)) != GenConfig(validate_order(7), limit=1)
+
+
+def test_the_order_is_the_one_stored_value(m7_matrices):
+    # q and b follow from m, and a matrix's order is its row count, so
+    # neither can be passed beside them
+    with pytest.raises(TypeError):
+        SearchParams(7, 3, 5)
+    with pytest.raises(TypeError):
+        PartitionMatrix(7, m7_matrices[0].rows)
 
 
 def test_matrix_constructors_validate():

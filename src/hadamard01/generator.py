@@ -31,10 +31,10 @@ class GenConfig(Frozen):
 
     ``params`` is a SearchParams.  ``limit`` cuts the stream after exactly
     that many matrices, an int >= 1 (not a bool).
-    ``verify_each`` None becomes the default policy here, so the field is
-    always a bool: verify every emitted matrix for m <=
-    VERIFY_DEFAULT_MAX_ORDER, skip above.
-    ``progress`` writes a status line to stderr (never to the output
+    ``verify_each`` is None or a bool; None becomes the default policy
+    here, so the field is always a bool: verify every emitted matrix for
+    m <= VERIFY_DEFAULT_MAX_ORDER, skip above.
+    ``progress``, a bool, writes a status line to stderr (never to the output
     stream) at the first row entry and then at most once per
     PROGRESS_PERIOD_S: ``i=<depth> emitted=<count> t=<s>s``.
     """
@@ -51,6 +51,10 @@ class GenConfig(Frozen):
             raise TypeError(f"params must be a SearchParams, got {params!r}")
         if limit is not None and (type(limit) is not int or limit < 1):
             raise ValueError(f"limit must be an int >= 1, got {limit!r}")
+        if verify_each is not None and type(verify_each) is not bool:
+            raise TypeError(f"verify_each must be None or a bool, got {verify_each!r}")
+        if type(progress) is not bool:
+            raise TypeError(f"progress must be a bool, got {progress!r}")
         self._set("params", params)
         self._set("limit", limit)
         if verify_each is None:

@@ -6,12 +6,14 @@ off it.  The same pattern on the column Gram matrix is an equivalent
 characterization; both are exposed so tests can assert the duality instead
 of trusting it.
 
-A stream of matrices is checked by one StreamCheck, row by new row.
+Every {0,1} Gram check goes through one StreamCheck, row by new row: a
+stream of matrices through one, a single matrix (is_hadamard_zo) through
+a fresh one.  The order the test wants is the row count itself.
 """
 
 from __future__ import annotations
 
-from .core import BitMatrix, SearchParams, dot, pack_row
+from .core import BitMatrix, InvalidOrder, SearchParams, dot, pack_row
 from .partition import LastRecord
 
 
@@ -28,26 +30,29 @@ def gram_cols(t: BitMatrix) -> tuple[tuple[int, ...], ...]:
 def is_hadamard_zo(t: BitMatrix) -> bool:
     """True iff t is a Hadamard matrix in {0,1} form.
 
-    Checks rows only, packed into int masks: see is_hadamard_masks.
+    Checks rows only, packed into int masks, through a one-matrix
+    StreamCheck: every {0,1} Gram check in the package takes that path.
     """
-    return is_hadamard_masks(t.m, [pack_row(row) for row in t.rows])
+    return StreamCheck(pack_row)(t)
 
 
-def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
-    """True iff ``masks``, m rows of m columns as int masks, form a Hadamard
-    matrix in {0,1} form: m = 3 mod 4 (side 1 therefore returns False) and
-    the row Gram matrix is b = 2q on the diagonal and q off it, with q and
-    b from ``core.SearchParams``.  The pairwise products are popcounts.
+def is_hadamard_masks(masks: list[int], start: int = 0) -> bool:
+    """True iff ``masks``, the rows of a square bit matrix as int masks,
+    form a Hadamard matrix in {0,1} form: its order m = len(masks) is
+    admissible for ``core.SearchParams`` (else False, so 0, 1 and 2 rows
+    give False) and the row Gram matrix is b = 2q on the diagonal and q off
+    it, with q and b from that SearchParams.  The pairwise products are
+    popcounts.
 
     Rows before index ``start`` are taken as already checked, weights and
     pairs, so each row from ``start`` on is tested for weight 2q and for
-    overlap q with every earlier row.
+    overlap q with every earlier row.  Its one caller is StreamCheck.
     """
-    if m < 3 or m % 4 != 3 or len(masks) != m:
+    try:
+        params = SearchParams(len(masks))
+    except InvalidOrder:
         return False
-    params = SearchParams(m)
-    for i in range(start, m):
-        u = masks[i]
+    for i, u in enumerate(masks[start:], start):
         if u.bit_count() != params.b:
             return False
         for v in masks[:i]:
@@ -57,7 +62,8 @@ def is_hadamard_masks(m: int, masks: list[int], start: int = 0) -> bool:
 
 
 class StreamCheck:
-    """is_hadamard_masks over a stream of matrices, called on each in turn.
+    """is_hadamard_masks over a stream of matrices, called on each in turn;
+    ``is_hadamard_zo`` is a one-matrix stream.
 
     ``mask`` turns a row into its int mask: ``partition.row_mask`` for a
     PartitionMatrix, ``core.pack_row`` for a BitMatrix.  A
@@ -75,7 +81,7 @@ class StreamCheck:
         d = self.last.keep(t.rows)
         masks = self.last.results
         masks += map(self.mask, t.rows[d:])
-        ok = is_hadamard_masks(len(t.rows), masks, d)
+        ok = is_hadamard_masks(masks, d)
         if not ok:
             self.last.keep(())
         return ok

@@ -30,17 +30,16 @@ def verify_sign_hadamard(h: SignMatrix) -> bool:
 def normalize(h: SignMatrix) -> SignMatrix:
     """Negate rows, then columns, so the first row and column are all +1.
 
-    The input must be a Hadamard matrix (NotHadamard otherwise); the output
-    is an equivalent Hadamard matrix in normalized form.
+    Row i is negated when h[i][0] is -1, and then column j when the new
+    h[0][j], h[0][0]*h[0][j], is -1: entry (i, j) of the result is
+    h[i][0]*h[i][j]*h[0][0]*h[0][j], computed in one pass.  The input must
+    be a Hadamard matrix (NotHadamard otherwise); the output is an
+    equivalent Hadamard matrix in normalized form.
     """
     if not verify_sign_hadamard(h):
         raise NotHadamard(f"{h.n}x{h.n} sign matrix is not Hadamard")
-    rows = [list(r) if r[0] == 1 else [-e for e in r] for r in h.rows]
-    for j in range(h.n):
-        if rows[0][j] == -1:
-            for row in rows:
-                row[j] = -row[j]
-    return SignMatrix.of(rows)
+    signs = [h.rows[0][0] * e for e in h.rows[0]] if h.n else []  # h[0][0]*h[0][j]
+    return SignMatrix.of([[row[0] * e * s for e, s in zip(row, signs)] for row in h.rows])
 
 
 def is_normalized(h: SignMatrix) -> bool:

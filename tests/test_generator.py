@@ -110,6 +110,19 @@ def test_params_must_be_search_params():
         GenConfig(11)
 
 
+@pytest.mark.parametrize("verify_each", ["no", 0, 1])
+def test_verify_each_must_be_none_or_a_bool(verify_each):
+    # unchecked, verify_each="no" would verify every matrix (a truthy string)
+    with pytest.raises(TypeError, match="verify_each must be None or a bool"):
+        GenConfig(validate_order(7), verify_each=verify_each)
+
+
+@pytest.mark.parametrize("progress", [None, 0, "yes"])
+def test_progress_must_be_a_bool(progress):
+    with pytest.raises(TypeError, match="progress must be a bool"):
+        GenConfig(validate_order(7), progress=progress)
+
+
 @pytest.mark.parametrize("end", ["exhaustion", "limit", "close", "drop"])
 def test_a_search_leaves_no_reference_cycle(end):
     # iter_matrices' recursive extend refers to itself; however the search
@@ -141,7 +154,7 @@ def test_verify_policy_defaults():
 def test_verification_failure_aborts(monkeypatch):
     import hadamard01.gram as gram_module
 
-    monkeypatch.setattr(gram_module, "is_hadamard_masks", lambda m, masks, start: False)
+    monkeypatch.setattr(gram_module, "is_hadamard_masks", lambda masks, start: False)
     with pytest.raises(InternalInvariantViolation):
         list(iter_matrices(GenConfig(validate_order(7), verify_each=True)))
 

@@ -142,13 +142,13 @@ def assert_mask_check_matches_decoded(pm):
     t = decode_matrix(pm)
     masks = [row_mask(g) for g in pm.rows]
     assert masks == [pack_row(row) for row in t.rows]
-    assert is_hadamard_masks(len(pm.rows), masks) == is_hadamard_zo(t)
+    assert is_hadamard_masks(masks) == is_hadamard_zo(t)
 
 
 def test_mask_check_matches_decoded_check_on_generated_matrices(m7_matrices, known15):
     for pm in m7_matrices:
         assert_mask_check_matches_decoded(pm)
-        assert is_hadamard_masks(7, [row_mask(g) for g in pm.rows])
+        assert is_hadamard_masks([row_mask(g) for g in pm.rows])
     assert_mask_check_matches_decoded(encode_matrix(known15))
 
 
@@ -166,7 +166,25 @@ def test_mask_check_matches_decoded_check_on_random_matrices(rows):
     assert_mask_check_matches_decoded(encode_matrix(canonicalize(BitMatrix.of(rows))))
 
 
+def gram_pattern_rows(m):
+    """m masks with weight 2q and pairwise overlap q, q = (m+1)//4: q ones
+    shared by every row, then q ones of each row's own."""
+    q = (m + 1) // 4
+    ones = (1 << q) - 1
+    return [ones | ones << (q * (i + 1)) for i in range(m)]
+
+
 def test_mask_check_wants_m_rows():
-    assert is_hadamard_masks(3, [0b110, 0b101, 0b011])
-    assert not is_hadamard_masks(3, [0b110, 0b101])
-    assert not is_hadamard_masks(1, [0b1])
+    assert is_hadamard_masks([0b110, 0b101, 0b011])
+    assert not is_hadamard_masks([0b110, 0b101])
+    assert not is_hadamard_masks([0b1])
+    # an inadmissible row count gives False without raising, even when the
+    # rows meet the Gram pattern its q = (m+1)//4 would ask for
+    for m in (0, 1, 2, 4, 5, 6, 8, 9, 10, 12):
+        q = (m + 1) // 4
+        rows = gram_pattern_rows(m)
+        assert all(u.bit_count() == 2 * q for u in rows)
+        assert all((u & v).bit_count() == q for i, u in enumerate(rows) for v in rows[:i])
+        for masks in (rows, [0] * m, [(1 << m) - 1] * m):
+            for start in (0, m):
+                assert is_hadamard_masks(masks, start) is False, (m, masks, start)

@@ -8,15 +8,19 @@ its imports are the package's public names.
 Per-row reuse across a stream has one home, ``partition.LastRecord``:
 ``shared_prefix`` is called nowhere else.  The label encoding has one
 owner, ``partition``: ``solver`` takes its overlap supports from
-``partition.ones_in`` and names no label.
+``partition.ones_in`` and names no label.  The {0,1} Gram test has one
+caller, ``gram.StreamCheck``.  Every public function, class and method has
+a caller in the package or the benchmark, bar a known few.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hadamard01"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hadamard01"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -84,6 +88,89 @@ def test_shared_prefix_is_called_only_by_last_record():
         for scope in calls_of("shared_prefix", path.read_text())
     }
     assert callers == {"partition.py:LastRecord.keep"}
+
+
+def test_is_hadamard_masks_is_called_only_by_stream_check():
+    callers = {
+        f"{path.name}:{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in calls_of("is_hadamard_masks", path.read_text())
+    }
+    assert callers == {"gram.py:StreamCheck.__call__"}
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) of each public top-level function and class of a module
+    and of each public method of its classes, as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def loaded_names(tree: ast.AST) -> Counter:
+    """How often each name is loaded in ``tree``, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def tracer_target_names(tree: ast.Module) -> Counter:
+    """The attribute names that a module-level ``TARGETS`` list of
+    ``(span, module, attribute)`` wraps, as benchmark/tracer.py's does."""
+    for node in tree.body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["TARGETS"]:
+            return Counter(attr for _, _, attr in ast.literal_eval(node.value))
+    return Counter()
+
+
+def uncalled_public_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` of each public definition of ``modules`` (module
+    name to source) that no module nor any of the ``others`` sources loads
+    outside the definition's own body.  A name in a tracer's TARGETS
+    counts as loaded."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    loaded = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        loaded += loaded_names(tree) + tracer_target_names(tree)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in public_definitions(tree)
+        if loaded[node.name] == loaded_names(node)[node.name]
+    ]
+
+
+# public names whose only callers are tests
+CALLED_ONLY_BY_TESTS = ["gram.gram_cols", "oracle.brute_force_canonical"]
+
+
+def test_every_public_name_has_a_program_caller():
+    # __init__.py's re-exports are no caller
+    modules = {module[:-3]: (PACKAGE / module).read_text() for module in MODULES}
+    benchmark = [path.read_text() for path in sorted((ROOT / "benchmark").glob("*.py"))]
+    assert uncalled_public_names(modules, benchmark) == CALLED_ONLY_BY_TESTS
+
+
+def test_uncalled_public_names_are_found():
+    source = (
+        "def used(): return helper.go()\n"
+        "def alone(): return alone()\n"
+        "def traced(): pass\n"
+        "class C:\n"
+        "    def go(self): return C()\n"
+        "    def stop(self): return self.stop()\n"
+        "    def _private(self): pass\n"
+        "def _private(): pass\n"
+    )
+    other = 'TARGETS = [("span", "mod", "traced")]\nused()\n'
+    assert uncalled_public_names({"mod": source}, [other]) == ["mod.alone", "mod.C", "mod.C.stop"]
 
 
 def bound_or_loaded(source: str) -> set[str]:

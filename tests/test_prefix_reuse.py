@@ -48,7 +48,7 @@ def row_masks(pm):
 
 
 def full_check(pm):
-    return is_hadamard_masks(len(pm.rows), row_masks(pm))
+    return is_hadamard_masks(row_masks(pm))
 
 
 def with_random_tail(pm, keep, rng):
@@ -115,11 +115,11 @@ def test_verify_gives_the_full_check_verdict_on_every_record(streams, m, fmt):
 
 def test_start_takes_the_prefix_as_checked():
     masks = [0b110, 0b101, 0b011]
-    assert is_hadamard_masks(3, masks, 0) and is_hadamard_masks(3, masks, 2)
+    assert is_hadamard_masks(masks, 0) and is_hadamard_masks(masks, 2)
     # the bad pair (rows 1 and 2) lies before start, so only row 3 is tested
-    assert not is_hadamard_masks(3, [0b110, 0b110, 0b011], 0)
-    assert is_hadamard_masks(3, [0b110, 0b110, 0b011], 2)
-    assert not is_hadamard_masks(3, [0b110, 0b101, 0b111], 2)
+    assert not is_hadamard_masks([0b110, 0b110, 0b011], 0)
+    assert is_hadamard_masks([0b110, 0b110, 0b011], 2)
+    assert not is_hadamard_masks([0b110, 0b101, 0b111], 2)
 
 
 def spy_on_gram_check(monkeypatch):
@@ -128,9 +128,9 @@ def spy_on_gram_check(monkeypatch):
 
     seen = []
 
-    def spy(m, masks, start):
+    def spy(masks, start):
         seen.append((list(masks), start))
-        return is_hadamard_masks(m, masks, start)
+        return is_hadamard_masks(masks, start)
 
     monkeypatch.setattr(gram_module, "is_hadamard_masks", spy)
     return seen

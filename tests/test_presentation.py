@@ -17,6 +17,7 @@ from hadamard01 import (
     verify_sign_hadamard,
     zo_from_pm,
 )
+from test_constructions import paley1, scrambled, sylvester
 
 H2 = SignMatrix.of([[1, 1], [1, -1]])
 ZO3 = BitMatrix.of([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
@@ -77,6 +78,45 @@ def test_normalize_undoes_random_sign_flips(seed):
     assert verify_sign_hadamard(back)
     assert all(e == 1 for e in back.rows[0])
     assert all(row[0] == 1 for row in back.rows)
+
+
+def two_pass_normalize(h: SignMatrix) -> SignMatrix:
+    # the flips written out, kept test-side as the reference for the
+    # closed form: negate each row that starts with -1, then each column
+    # whose new first entry is -1
+    rows = [list(r) if r[0] == 1 else [-e for e in r] for r in h.rows]
+    for j in range(h.n):
+        if rows[0][j] == -1:
+            for row in rows:
+                row[j] = -row[j]
+    return SignMatrix.of(rows)
+
+
+SCRAMBLE_BASES = {
+    "sylvester-4": lambda: sylvester(4),
+    "sylvester-8": lambda: sylvester(8),
+    "sylvester-16": lambda: sylvester(16),
+    "paley-11": lambda: paley1(11),
+    "paley-19": lambda: paley1(19),
+    "paley-23": lambda: paley1(23),
+}
+
+
+@pytest.mark.parametrize("name", SCRAMBLE_BASES)
+def test_normalize_matches_the_two_pass_flips_on_scrambled_constructions(name):
+    h = SCRAMBLE_BASES[name]()
+    for seed in range(20):
+        g = scrambled(h, seed)
+        assert normalize(g) == two_pass_normalize(g), f"seed {seed}"
+
+
+def test_normalize_matches_the_two_pass_flips_on_small_sides():
+    # every Hadamard sign matrix of side 0, 1 and 2, the empty one included
+    for n in range(3):
+        for entries in itertools.product((1, -1), repeat=n * n):
+            h = SignMatrix.of([entries[i * n:(i + 1) * n] for i in range(n)])
+            if verify_sign_hadamard(h):
+                assert normalize(h) == two_pass_normalize(h), h
 
 
 def test_zo_from_pm_order2():

@@ -32,15 +32,8 @@ class NotNormalized(HadamardError):
 
 
 class NonCanonicalRow(HadamardError):
-    """A bit row is not ones-first within the spans of its parent groups.
-
-    Carries ``row_index`` (1-based) when raised while encoding a whole
-    matrix, else None.
-    """
-
-    def __init__(self, message: str, row_index: int | None = None):
-        super().__init__(message)
-        self.row_index = row_index
+    """A bit row is not ones-first within the spans of its parent groups;
+    raised by encode_matrix, its message starts ``row <i>: `` (1-based)."""
 
 
 class OrderTooLarge(HadamardError):
@@ -62,7 +55,10 @@ class FormatError(HadamardError):
 
 
 class Frozen:
-    """Base of the package's immutable value types.
+    """Base of the package's immutable value types: ``BitMatrix`` and
+    ``SignMatrix`` (on ``_Square``), ``SearchParams``,
+    ``partition.PartitionMatrix``, ``solver.RowSystem`` and
+    ``generator.GenConfig``.
 
     A subclass keeps its fields in ``__slots__``, sets each once in
     ``__init__`` with ``_set``, and names in ``_fields`` the ones that make
@@ -100,55 +96,53 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _square(rows: tuple[tuple[int, ...], ...], entries: tuple[int, int], kind: str):
-    """``rows`` itself, once checked to be square with every entry equal
-    to one of ``entries`` (by value, so True and 1.0 pass as 1); raises
-    ValueError at the first row or entry that is not."""
-    side = len(rows)
-    for row in rows:
-        if len(row) != side:
-            raise ValueError(f"matrix is not square: side {side}, row of length {len(row)}")
-        for e in row:
-            if e not in entries:
-                raise ValueError(f"entry {e!r} is not a {kind}")
-    return rows
-
-
-class BitMatrix(Frozen):
-    """Square matrix over {0,1}: a candidate or confirmed Hadamard matrix
-    in {0,1} form (side m)."""
+class _Square(Frozen):
+    """A square matrix, its value its rows: a tuple of row tuples, each
+    entry one of the subclass's two ``_entries`` (by value, so True and
+    1.0 pass as 1).  Construction raises ValueError at the first row or
+    entry that is not."""
 
     __slots__ = _fields = ("rows",)
+    _entries: tuple[int, int]
+    _kind: str  # what an entry is, for the error message
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self._set("rows", _square(rows, (0, 1), "bit"))
+        side, entries = len(rows), self._entries
+        for row in rows:
+            if len(row) != side:
+                raise ValueError(f"matrix is not square: side {side}, row of length {len(row)}")
+            for e in row:
+                if e not in entries:
+                    raise ValueError(f"entry {e!r} is not a {self._kind}")
+        self._set("rows", rows)
 
     @classmethod
-    def of(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
+    def of(cls, rows: Sequence[Sequence[int]]) -> _Square:
         return cls(tuple(tuple(r) for r in rows))
+
+
+class BitMatrix(_Square):
+    """Square matrix over {0,1}: a candidate or confirmed Hadamard matrix
+    in {0,1} form (side m)."""
+
+    __slots__ = ()
+    _entries, _kind = (0, 1), "bit"
 
     @property
     def m(self) -> int:
         return len(self.rows)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(tuple(zip(*self.rows))) if self.rows else self
+        return BitMatrix(tuple(zip(*self.rows)))
 
 
-class SignMatrix(Frozen):
+class SignMatrix(_Square):
     """Square matrix over {-1,+1}: a classical Hadamard matrix candidate
     (side n)."""
 
-    __slots__ = _fields = ("rows",)
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self._set("rows", _square(rows, (1, -1), "sign"))
-
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":
-        return cls(tuple(tuple(r) for r in rows))
+    __slots__ = ()
+    _entries, _kind = (1, -1), "sign"
 
     @property
     def n(self) -> int:

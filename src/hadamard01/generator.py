@@ -85,10 +85,11 @@ def iter_matrices(
     the prefix it shares with the matrix before; a failure aborts with
     InternalInvariantViolation.
 
-    ``deadline`` is a time.monotonic() timestamp; the search checks it at
-    every extension step and stops cleanly once past it, so wall-clock
-    budgets hold even through long stretches between emissions.  The
-    emitted prefix is still deterministic up to where the clock cuts.
+    ``deadline`` is a time.monotonic() timestamp; the search checks it
+    before every extension step (each solution taken, at every depth) and
+    stops cleanly once past it, so wall-clock budgets hold even through
+    long stretches between emissions.  The emitted prefix is still
+    deterministic up to where the clock cuts.
     """
     params = config.params
     check = StreamCheck(row_mask) if config.verify_each else None
@@ -106,18 +107,16 @@ def iter_matrices(
             if now >= next_status:
                 print(f"i={i} emitted={emitted} t={now - start:.1f}s", file=sys.stderr)
                 next_status = now + PROGRESS_PERIOD_S
-        if deadline is not None and time.monotonic() >= deadline:
-            return
         system = build_system(rows[-1], i, params, prev)
         for k in enumerate_solutions(system):
+            if deadline is not None and time.monotonic() >= deadline:
+                return
             rows.append(child_row(rows[-1], k))
             if i == params.m:
                 yield PartitionMatrix(tuple(rows))
             else:
                 yield from extend(i + 1, system)
             rows.pop()
-            if deadline is not None and time.monotonic() >= deadline:
-                return
 
     try:
         for pm in extend(3, None):

@@ -17,20 +17,25 @@ that violate this; canonicalize() reorders columns to repair it.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .core import BitMatrix, NonCanonicalRow
+from .core import BitMatrix, Frozen, NonCanonicalRow
 
 Group = tuple[int, int]  # (label, count), count >= 1
 # One row as its ordered (label, count) pairs; its depth is its row number.
 GroupList = tuple[Group, ...]
 
 
-class PartitionMatrix(NamedTuple):
+class PartitionMatrix(Frozen):
     """A full matrix in group-list form; row i (rows[i-1]) has depth i, and
-    its order m is its row count, ``len(rows)``."""
+    its order m is its row count, ``len(rows)``.  Construction does not
+    check the rows: validate_partition_matrix does."""
 
+    __slots__ = _fields = ("rows",)
     rows: tuple[GroupList, ...]
+
+    def __init__(self, rows: tuple[GroupList, ...]):
+        self._set("rows", rows)
 
 
 def root_group_list(m: int) -> GroupList:
@@ -146,7 +151,7 @@ def encode_matrix(t: BitMatrix, last: LastRecord | None = None) -> PartitionMatr
             parent = encode_row(row, parent)
         except NonCanonicalRow as exc:
             last.keep(())
-            raise NonCanonicalRow(f"row {i}: {exc}", row_index=i) from exc
+            raise NonCanonicalRow(f"row {i}: {exc}") from exc
         encoded.append(parent)
     return PartitionMatrix(tuple(encoded))
 

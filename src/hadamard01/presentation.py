@@ -43,8 +43,9 @@ def normalize(h: SignMatrix) -> SignMatrix:
 
 
 def is_normalized(h: SignMatrix) -> bool:
-    """True iff the first row and the first column of h are all +1."""
-    return all(e == 1 for e in h.rows[0]) and all(row[0] == 1 for row in h.rows)
+    """True iff the first row and the first column of h are all +1 (so
+    True for the 0x0 matrix, which has neither)."""
+    return all(e == 1 for row in h.rows[:1] for e in row) and all(row[0] == 1 for row in h.rows)
 
 
 def zo_from_pm(h: SignMatrix) -> BitMatrix:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hadamard01 import GenConfig, validate_order
+from hadamard01 import cli, is_hadamard_zo
 from hadamard01.cli import build_parser, main
 from hadamard01.generator import VERIFY_DEFAULT_MAX_ORDER
 
@@ -267,12 +268,24 @@ def test_input_lines_end_at_any_newline(tmp_path, capsys, newline):
     assert "line 2: non-ASCII byte 0xff" in err
 
 
-def test_verify_densepm(tmp_path, capsys):
+def test_verify_densepm(tmp_path, capsys, monkeypatch):
+    # two 2x2 blocks, the 30 normalized 8x8 blocks of order 7, and one of
+    # those with its rows and columns reversed: Hadamard, not normalized
     f = tmp_path / "h.pm"
-    f.write_text("++\n+-\n\n++\n++\n")
+    run(capsys, "generate", "-m", "7", "--format", "densepm", "-o", str(f))
+    generated = f.read_text()
+    scrambled = [row[::-1] for row in generated.split("\n\n")[0].split()[::-1]]
+    assert scrambled[0] != "+" * 8
+    f.write_text("++\n+-\n\n++\n++\n\n" + generated + "\n" + "\n".join(scrambled) + "\n")
+    checked = []
+    monkeypatch.setattr(cli, "is_hadamard_zo",
+                        lambda t: checked.append(t.m) or is_hadamard_zo(t))
     code, stdout, _ = run(capsys, "verify", str(f), "--format", "densepm")
     assert code == 1
-    assert "matrix 1: PASS" in stdout and "matrix 2: FAIL" in stdout
+    assert stdout.splitlines() == ["matrix 1: PASS", "matrix 2: FAIL"] + [
+        f"matrix {k}: PASS" for k in range(3, 34)]
+    # the {0,1} cross-check runs once per normalized block of side >= 4
+    assert checked == [7] * 30
 
 
 def test_convert_round_trips_are_byte_identical(tmp_path, capsys):

@@ -66,11 +66,10 @@ def test_encode_row_rejects_scattered_ones():
 
 def test_encode_row_rejects_a_row_of_another_length():
     # a whole-matrix encode never gets here (BitMatrix is square), so the
-    # error carries no row index
-    message = "row length 4 does not match parent span total 3"
-    with pytest.raises(NonCanonicalRow, match=message) as exc:
+    # message names no row
+    message = "^row length 4 does not match parent span total 3$"
+    with pytest.raises(NonCanonicalRow, match=message):
         encode_row((1, 1, 0, 0), root_group_list(3))
-    assert exc.value.row_index is None
 
 
 def test_encode_matrix_known15(known15):
@@ -90,9 +89,8 @@ def test_encode_matrix_order3():
 
 def test_encode_matrix_reports_offending_row():
     t = BitMatrix.of([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # row 2 breaks the layout
-    with pytest.raises(NonCanonicalRow) as exc:
+    with pytest.raises(NonCanonicalRow, match="^row 2: "):
         encode_matrix(t)
-    assert exc.value.row_index == 2
 
 
 def test_decode_single_group_row_is_all_ones():

@@ -17,6 +17,7 @@ from hadamard01 import (
     verify_sign_hadamard,
     zo_from_pm,
 )
+from hadamard01.presentation import is_normalized
 from test_constructions import paley1, scrambled, sylvester
 
 H2 = SignMatrix.of([[1, 1], [1, -1]])
@@ -117,6 +118,7 @@ def test_normalize_matches_the_two_pass_flips_on_small_sides():
             h = SignMatrix.of([entries[i * n:(i + 1) * n] for i in range(n)])
             if verify_sign_hadamard(h):
                 assert normalize(h) == two_pass_normalize(h), h
+                assert is_normalized(normalize(h)), h
 
 
 def test_zo_from_pm_order2():

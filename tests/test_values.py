@@ -2,10 +2,13 @@
 assigned, equality holds only within one class, the hash follows
 equality, and the repr names every field that makes up the value."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import hadamard01
 from hadamard01 import (
     BitMatrix,
     GenConfig,
@@ -15,6 +18,7 @@ from hadamard01 import (
     initial_rows,
     validate_order,
 )
+from hadamard01.core import Frozen
 from hadamard01.partition import child_row
 from hadamard01.solver import RowSystem, build_system
 
@@ -30,7 +34,22 @@ VALUES = {
                   "verify_each=True, progress=False)", "limit"),
     "RowSystem": (lambda: RowSystem(3, (1, 1), (((0, 1), 1),)),
                   "RowSystem(i=3, bounds=(1, 1), equations=(((0, 1), 1),))", "prev"),
+    "PartitionMatrix": (lambda: PartitionMatrix((((0, 2), (1, 1)),)),
+                        "PartitionMatrix(rows=(((0, 2), (1, 1)),))", "rows"),
 }
+
+
+def test_every_public_value_type_is_covered():
+    # a value type is a public subclass of core.Frozen, at any depth
+    for info in pkgutil.iter_modules(hadamard01.__path__):
+        importlib.import_module(f"hadamard01.{info.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("hadamard01.") and not sub.__name__.startswith("_"):
+                found.add(sub.__name__)
+    assert found == set(VALUES)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -70,6 +89,10 @@ def test_equality_needs_the_same_class():
     assert validate_order(7) != (7, 2, 4)
     assert BitMatrix(rows) != BitMatrix(((0,),))
     assert GenConfig(validate_order(7)) != GenConfig(validate_order(7), limit=1)
+    groups = (((0, 1),),)
+    assert PartitionMatrix(groups) != (groups,)
+    with pytest.raises(TypeError):
+        len(PartitionMatrix(groups))
 
 
 def test_the_order_is_the_one_stored_value(m7_matrices):
